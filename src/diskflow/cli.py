@@ -89,7 +89,7 @@ def _resolve_init(spec, outbase: Path | None = None):
 
 def _sim_config(cfg: dict, seed_override=None, base: Path | None = None) -> SimConfig:
     init = _resolve_init(_expect(cfg, "init", (str, dict), "radial-1"), base)
-    dt = _expect(cfg, "dt", (int, float), None)
+    dt = _expect(cfg, "dt", (int, float, type(None)), None)  # null: automatic
     return SimConfig(
         nu=float(_expect(cfg, "nu", (int, float), required=True)),
         t_end=float(_expect(cfg, "t_end", (int, float), required=True)),

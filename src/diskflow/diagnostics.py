@@ -29,7 +29,7 @@ import numpy as np
 
 from .basis import StokesBasis
 from .bessel import compound_decay, jn_trio, zero_table
-from .field import SpectralCoeffs, radial_rule, _reality_weights
+from .field import SpectralCoeffs, norm_sq_series, radial_rule
 from .solver import SimTrace
 
 CONDITION_KINDS = ("K1", "K2", "K3", "K4", "K5", "K6",
@@ -155,33 +155,6 @@ class ScheduleSpec:
                 raise ScheduleError("delta(nu)/nu does not increase over the sweep")
 
 
-def _layer_norm_series(trace: SimTrace, basis: StokesBasis, quantity: str,
-                       delta: float | None, mask: np.ndarray | None,
-                       n_radial: int = 48) -> np.ndarray:
-    """Squared-norm time series of the (masked) coefficient history."""
-    nt = trace.g.shape[1] - 1
-    nr = trace.g.shape[2]
-    g = trace.g if mask is None else trace.g * mask[None, :, :]
-    wr = _reality_weights(nt)
-    if delta is None and quantity in ("vorticity", "gradient"):
-        return np.sum(wr[None, :, None] * np.abs(g) ** 2, axis=(1, 2))
-    if delta is None and quantity == "velocity":
-        lam = basis.lam[: nt + 1, :nr]
-        return np.sum(wr[None, :, None] * np.abs(g) ** 2 / lam[None], axis=(1, 2))
-    alpha_max = float(basis.alpha[: nt + 1, :nr].max())
-    r, w = radial_rule(1.0 - (delta if delta is not None else 1.0), alpha_max,
-                       n_radial)
-    out = np.zeros(trace.g.shape[0])
-    for n in range(nt + 1):
-        gn = g[:, n, :]
-        if not np.any(gn):
-            continue
-        prof = basis.profile_matrix(n, r, quantity, k_max=nr)
-        c = np.einsum("sk,ckq->scq", gn, prof)
-        out += wr[n] * np.sum(w[None, None, :] * np.abs(c) ** 2, axis=(1, 2))
-    return 2.0 * np.pi * out
-
-
 def _trapz_validated(y: np.ndarray, t: np.ndarray, validate: bool) -> float:
     full = float(np.trapezoid(y, t))
     if validate and t.size >= 5:
@@ -235,15 +208,18 @@ def condition_functional(trace: SimTrace, kind: str, schedule: ScheduleSpec,
         "N7": (1.0 / nu, "velocity", thin, band),
     }
     weight, quantity, delta, mask = table[kind]
-    series = _layer_norm_series(trace, basis, quantity, delta, mask, n_radial)
+    g = trace.g if mask is None else trace.g * mask[None, :, :]
+    rule = None
+    if delta is not None:
+        alpha_max = float(basis.alpha[: nt + 1, :nr].max())
+        rule = radial_rule(1.0 - delta, alpha_max, n_radial)
+    series = norm_sq_series(g, basis, quantity, rule)
     return weight * _trapz_validated(series, trace.times, validate)
 
 
 def vv_gap(trace: SimTrace, reference, basis: StokesBasis) -> float:
     """Sup over samples of the L2 distance between the trace velocity and a
     reference velocity (steady coefficients or an aligned time series)."""
-    nt = trace.g.shape[1] - 1
-    nr = trace.g.shape[2]
     if isinstance(reference, SpectralCoeffs):
         ref = np.broadcast_to(reference.g, trace.g.shape)
     elif isinstance(reference, SimTrace):
@@ -253,10 +229,7 @@ def vv_gap(trace: SimTrace, reference, basis: StokesBasis) -> float:
         ref = reference.g
     else:
         raise TypeError("reference must be SpectralCoeffs or SimTrace")
-    diff = trace.g - ref
-    wr = _reality_weights(nt)[None, :, None]
-    lam = basis.lam[: nt + 1, :nr][None]
-    u2 = np.sum(wr * np.abs(diff) ** 2 / lam, axis=(1, 2))
+    u2 = norm_sq_series(trace.g - ref, basis, "velocity")
     return float(np.sqrt(u2.max()))
 
 

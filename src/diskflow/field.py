@@ -72,13 +72,13 @@ def _resolves(r: np.ndarray, w: np.ndarray, alpha: float, r_lo: float) -> bool:
 
 
 def build_grid(n_radial, n_angular: int, r_lo: float = 0.0,
-               validate_alpha: float | None = None,
-               max_doublings: int = 8) -> PolarGrid:
+               validate_alpha: float | None = None) -> PolarGrid:
     """Quadrature grid on the annulus r_lo < r < 1 (full disk for r_lo = 0).
 
-    With validate_alpha set, the radial node count doubles until the rule
-    integrates r * J_0(validate_alpha * r)^2 to within 1e-11 of the closed
-    form, so oscillatory mode products up to that wavenumber are trusted.
+    With validate_alpha set, the radial rule is radial_rule's, started at
+    n_radial nodes: the node count doubles until r * J_0(validate_alpha * r)^2
+    integrates to within 1e-11 of the closed form, so oscillatory mode
+    products up to that wavenumber are trusted.
     """
     if n_radial == "auto":
         n_radial = 32
@@ -86,18 +86,10 @@ def build_grid(n_radial, n_angular: int, r_lo: float = 0.0,
         raise GridError("need n_radial >= 4 and even n_angular >= 4")
     if not 0.0 <= r_lo < 1.0:
         raise GridError(f"r_lo {r_lo} outside [0, 1)")
-    n = int(n_radial)
-    r, w = _gauss_radial(n, r_lo)
-    if validate_alpha is not None:
-        for _ in range(max_doublings):
-            if _resolves(r, w, validate_alpha, r_lo):
-                break
-            n *= 2
-            r, w = _gauss_radial(n, r_lo)
-        else:
-            raise GridError(
-                f"radial rule not converged for alpha={validate_alpha} on "
-                f"({r_lo}, 1) after {max_doublings} doublings")
+    if validate_alpha is None:
+        r, w = _gauss_radial(int(n_radial), r_lo)
+    else:
+        r, w = radial_rule(r_lo, validate_alpha, int(n_radial))
     return PolarGrid(r=r, w=w, n_angular=int(n_angular), r_lo=float(r_lo))
 
 
@@ -117,7 +109,8 @@ def radial_rule(r_lo: float, alpha_max: float, n_start: int = 48) -> tuple[np.nd
             break
         n *= 2
     else:
-        raise GridError(f"radial rule not converged on ({r_lo}, 1)")
+        raise GridError(f"radial rule not converged for alpha={alpha_max} on "
+                        f"({r_lo}, 1)")
     _radial_rule_cache[key] = (r, w)
     return r, w
 
@@ -228,29 +221,35 @@ def project(sample: FieldSample, basis: StokesBasis, n_theta: int,
     return SpectralCoeffs(g=g, time=0.0)
 
 
-def _coeff_norm_sq_disk(coeffs: SpectralCoeffs, basis: StokesBasis,
-                        quantity: str) -> float:
-    wr = _reality_weights(coeffs.n_theta)[:, None]
-    mag = np.abs(coeffs.g) ** 2
-    if quantity in ("vorticity", "gradient"):
-        return float(np.sum(wr * mag))
-    if quantity == "velocity":
-        lam = basis.lam[: coeffs.n_theta + 1, : coeffs.n_r]
-        return float(np.sum(wr * mag / lam))
-    raise ValueError(f"no coefficient fast path for quantity {quantity!r}")
+def norm_sq_series(g: np.ndarray, basis: StokesBasis | None, quantity: str,
+                   rule: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Squared L2 norms of the coefficient states g[..., n, k].
 
-
-def _coeff_norm_sq_quad(coeffs: SpectralCoeffs, basis: StokesBasis,
-                        quantity: str, r: np.ndarray, w: np.ndarray) -> float:
-    wr = _reality_weights(coeffs.n_theta)
-    total = 0.0
-    for n in range(coeffs.n_theta + 1):
-        if not np.any(coeffs.g[n]):
+    With rule=None this is the Parseval sum over the whole disk (vorticity,
+    gradient, velocity); with a radial rule (r, w) on (r_lo, 1) it is the
+    per-angular-mode quadrature over the annulus r_lo < r < 1.  Leading
+    axes of g are kept, so a stack of states gives one norm per state.  The
+    vorticity and gradient Parseval sums need no basis.
+    """
+    nt, nr = g.shape[-2] - 1, g.shape[-1]
+    wr = _reality_weights(nt)
+    if rule is None:
+        if quantity not in ("vorticity", "gradient", "velocity"):
+            raise ValueError(f"no Parseval identity for quantity {quantity!r}")
+        mag = wr[:, None] * np.abs(g) ** 2
+        if quantity == "velocity":
+            mag = mag / basis.lam[: nt + 1, :nr]
+        return np.sum(mag, axis=(-2, -1))
+    r, w = rule
+    out = np.zeros(g.shape[:-2])
+    for n in range(nt + 1):
+        gn = g[..., n, :]
+        if not np.any(gn):
             continue
-        prof = basis.profile_matrix(n, r, quantity, k_max=coeffs.n_r)
-        c = np.einsum("k,ckq->cq", coeffs.g[n], prof)
-        total += wr[n] * float(np.sum(w[None, :] * np.abs(c) ** 2))
-    return 2.0 * np.pi * total
+        prof = basis.profile_matrix(n, r, quantity, k_max=nr)
+        c = np.einsum("...k,ckq->...cq", gn, prof)
+        out += wr[n] * np.sum(w * np.abs(c) ** 2, axis=(-2, -1))
+    return 2.0 * np.pi * out
 
 
 def norm_l2(source, basis: StokesBasis | None = None, quantity: str = "vorticity",
@@ -279,15 +278,12 @@ def norm_l2(source, basis: StokesBasis | None = None, quantity: str = "vorticity
         # the pole; these norms exist on boundary layers only
         raise ValueError("tangential-gradient norms need a layer width < 1")
     if delta is None:
-        return _coeff_norm_sq_disk(source, basis, quantity)
+        return float(norm_sq_series(source.g, basis, quantity))
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"layer width {delta} outside (0, 1]")
-    r, w = radial_rule(1.0 - delta, _band_alpha_max(source, basis), n_radial)
-    return _coeff_norm_sq_quad(source, basis, quantity, r, w)
-
-
-def _band_alpha_max(coeffs: SpectralCoeffs, basis: StokesBasis) -> float:
-    return float(basis.alpha[: coeffs.n_theta + 1, : coeffs.n_r].max())
+    alpha_max = float(basis.alpha[: source.n_theta + 1, : source.n_r].max())
+    rule = radial_rule(1.0 - delta, alpha_max, n_radial)
+    return float(norm_sq_series(source.g, basis, quantity, rule))
 
 
 def inner_product(a: FieldSample, b: FieldSample) -> complex:
@@ -322,10 +318,3 @@ def mode_inner_product(basis: StokesBasis, mode_a: tuple[int, int],
     rad = complex(np.sum(w[None, :] * pa * np.conj(pb)))
     return ang * rad
 
-
-def coeffs_to_json(coeffs: SpectralCoeffs) -> dict:
-    return coeffs.to_dict()
-
-
-def coeffs_from_json(d: dict) -> SpectralCoeffs:
-    return SpectralCoeffs.from_dict(d)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import StokesBasis, stokes_basis
-from .field import SpectralCoeffs, radial_rule, _reality_weights
+from .field import (SpectralCoeffs, _gauss_radial, _reality_weights,
+                    norm_sq_series, radial_rule)
 
 
 class SolverInstability(RuntimeError):
@@ -111,8 +112,7 @@ def make_initial(name: str, n_theta: int, n_r: int, seed: int = 0,
         blk = rng.standard_normal((bn + 1, bk)) + 1j * rng.standard_normal((bn + 1, bk))
         blk[0] = blk[0].real
         c.g[: bn + 1, :bk] = blk
-        wr = _reality_weights(n_theta)[:, None]
-        scale = np.sqrt(np.sum(wr * np.abs(c.g) ** 2))
+        scale = np.sqrt(norm_sq_series(c.g, None, "vorticity"))
         c.g *= amplitude / scale
     else:
         raise ValueError(f"unknown initial-condition preset {name!r}")
@@ -127,6 +127,7 @@ class _Engine:
         if nt > basis.n_max or nr > basis.k_max:
             raise ValueError("truncation exceeds basis table")
         self.nt, self.nr = nt, nr
+        self.basis = basis
         self.nu = config.nu
         self.lam = basis.lam[: nt + 1, :nr].copy()
         self.wr = _reality_weights(nt)
@@ -136,7 +137,6 @@ class _Engine:
             na += 1
         self.na = na
         if config.n_radial:
-            from .field import _gauss_radial
             self.r, self.w = _gauss_radial(config.n_radial, 0.0)
         else:
             # convective projection integrands oscillate at ~3x the band limit
@@ -147,24 +147,25 @@ class _Engine:
                        for n in range(nt + 1)]
         self.proj = [np.conj(pu) * self.w[None, None, :] for pu in self.prof_u]
         self.linear = config.linear
-        self.max_u = None
+        self.forcing = config.forcing
 
     def norms(self, g: np.ndarray) -> tuple[float, float]:
-        mag = np.abs(g) ** 2
-        w2 = float(np.sum(self.wr[:, None] * mag))
-        u2 = float(np.sum(self.wr[:, None] * mag / self.lam))
-        return u2, w2
+        return (float(norm_sq_series(g, self.basis, "velocity")),
+                float(norm_sq_series(g, self.basis, "vorticity")))
+
+    def synthesize(self, g: np.ndarray, prof: list) -> np.ndarray:
+        """Physical components of g on the dealiased grid, per-n profiles prof."""
+        spec = np.zeros((prof[0].shape[0], self.na // 2 + 1, self.r.size),
+                        dtype=complex)
+        for n in range(self.nt + 1):
+            spec[:, n, :] = np.einsum("k,ckq->cq", g[n], prof[n])
+        return np.fft.irfft(spec * self.na, n=self.na, axis=1)
 
     def convective(self, g: np.ndarray) -> np.ndarray:
         """Projection of u.grad(u) onto every mode of the truncation."""
-        nt, na, nq = self.nt, self.na, self.r.size
-        spec_u = np.zeros((2, na // 2 + 1, nq), dtype=complex)
-        spec_g = np.zeros((4, na // 2 + 1, nq), dtype=complex)
-        for n in range(nt + 1):
-            spec_u[:, n, :] = np.einsum("k,ckq->cq", g[n], self.prof_u[n])
-            spec_g[:, n, :] = np.einsum("k,ckq->cq", g[n], self.prof_g[n])
-        u = np.fft.irfft(spec_u * na, n=na, axis=1)
-        du = np.fft.irfft(spec_g * na, n=na, axis=1)
+        nt, na = self.nt, self.na
+        u = self.synthesize(g, self.prof_u)
+        du = self.synthesize(g, self.prof_g)
         # (u.grad u)_i = u_j grad[i][j] with curvature terms already in grad
         wr_ = u[0] * du[0] + u[1] * du[1]
         wt_ = u[0] * du[2] + u[1] * du[3]
@@ -174,13 +175,31 @@ class _Engine:
             out[n] = 2.0 * np.pi * np.einsum("cq,ckq->k", what[:, n, :], self.proj[n])
         return out
 
-    def flux(self, g: np.ndarray, conv: np.ndarray) -> float:
-        return float(np.sum(self.wr[:, None] * (np.conj(g) * conv).real))
+    def flux(self, g: np.ndarray, h: np.ndarray) -> float:
+        """Reality-weighted pairing: the flux <N(g), u> for h = N(g), the
+        power <f, u> for h = f."""
+        return float(np.sum(self.wr[:, None] * (np.conj(g) * h).real))
 
-    def rhs(self, g: np.ndarray, t: float, forcing) -> tuple[np.ndarray, np.ndarray]:
+    def rhs(self, g: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         conv = np.zeros_like(g) if self.linear else self.convective(g)
-        f = forcing.at(t) if forcing is not None else 0.0
+        f = self.forcing.at(t) if self.forcing is not None else 0.0
         return self.lam * (f - conv), conv
+
+    def heun(self, g: np.ndarray, phi: np.ndarray, t: float, dt: float,
+             decay: np.ndarray, u2: float) -> tuple[np.ndarray, float, float]:
+        """One exponential-Heun step of length dt from g at time t, where phi
+        is rhs(g, t) and u2 is |u|^2 of g; returns the new state and its
+        |u|^2 and |omega|^2."""
+        gbar = decay * (g + dt * phi)
+        phi2, _ = self.rhs(gbar, t + dt)
+        gnew = decay * g + 0.5 * dt * (decay * phi + phi2)
+        gnew[0] = gnew[0].real
+        u2_new, w2_new = self.norms(gnew)
+        if u2_new > 100.0 * u2 + 1e-300:
+            raise SolverInstability(
+                f"norm grew {np.sqrt(u2_new / max(u2, 1e-300)):.2f}x in one step "
+                f"at t={t:.6g} (dt={dt:.3g})")
+        return gnew, u2_new, w2_new
 
 
 def nonlinear_coeffs(coeffs: SpectralCoeffs, basis: StokesBasis | None = None,
@@ -198,18 +217,12 @@ def nonlinear_coeffs(coeffs: SpectralCoeffs, basis: StokesBasis | None = None,
     return _Engine(cfg, basis).convective(coeffs.g)
 
 
-def default_dt(config: SimConfig, basis: StokesBasis,
+def default_dt(config: SimConfig, eng: _Engine,
                init: SpectralCoeffs) -> float:
     """Splitting-error cap for the viscous factor plus a convective CFL."""
-    lam_max = float(basis.lam[: config.n_theta + 1, : config.n_r].max())
-    dt = 0.25 / (config.nu * lam_max)
+    dt = 0.25 / (config.nu * float(eng.lam.max()))
     if not config.linear:
-        eng = _Engine(config, basis)
-        spec = np.zeros((2, eng.na // 2 + 1, eng.r.size), dtype=complex)
-        for n in range(config.n_theta + 1):
-            spec[:, n, :] = np.einsum("k,ckq->cq", init.g[n], eng.prof_u[n])
-        u = np.fft.irfft(spec * eng.na, n=eng.na, axis=1)
-        umax = float(np.abs(u).max())
+        umax = float(np.abs(eng.synthesize(init.g, eng.prof_u)).max())
         if umax > 0.0:
             h_min = 1.0 / eng.r.size
             dt = min(dt, 0.5 * h_min / umax)
@@ -223,20 +236,11 @@ def step(state: SpectralCoeffs, config: SimConfig, dt: float,
     eng = engine or _Engine(config, basis)
     if state.g.shape != (config.n_theta + 1, config.n_r):
         raise ValueError("state truncation does not match config")
-    u2_old, _ = eng.norms(state.g)
+    u2, _ = eng.norms(state.g)
+    phi, _ = eng.rhs(state.g, state.time)
     decay = np.exp(-config.nu * eng.lam * dt)
-    t = state.time
-    phi1, _ = eng.rhs(state.g, t, config.forcing)
-    gbar = decay * (state.g + dt * phi1)
-    phi2, _ = eng.rhs(gbar, t + dt, config.forcing)
-    gnew = decay * state.g + 0.5 * dt * (decay * phi1 + phi2)
-    gnew[0] = gnew[0].real
-    u2_new, _ = eng.norms(gnew)
-    if u2_new > 100.0 * u2_old + 1e-300:
-        raise SolverInstability(
-            f"norm grew {np.sqrt(u2_new / max(u2_old, 1e-300)):.2f}x in one step "
-            f"at t={t:.6g} (dt={dt:.3g})")
-    return SpectralCoeffs(g=gnew, time=t + dt)
+    gnew, _, _ = eng.heun(state.g, phi, state.time, dt, decay, u2)
+    return SpectralCoeffs(g=gnew, time=state.time + dt)
 
 
 def exact_linear_solution(init: SpectralCoeffs, basis: StokesBasis, nu: float,
@@ -258,7 +262,7 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
                              seed=config.seed, amplitude=config.amplitude)
     state.time = 0.0
     eng = _Engine(config, basis)
-    dt = config.dt or default_dt(config, basis, state)
+    dt = config.dt or default_dt(config, eng, state)
     n_steps = max(1, int(np.ceil(config.t_end / dt - 1e-12)))
     dt = config.t_end / n_steps
 
@@ -266,7 +270,7 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
     u2, w2 = eng.norms(state.g)
     visc = 0.0
     ein = 0.0
-    phi, conv = eng.rhs(state.g, 0.0, config.forcing)
+    phi, conv = eng.rhs(state.g, 0.0)
     fl = 0.0 if config.linear else eng.flux(state.g, conv)
 
     def record():
@@ -290,27 +294,16 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
     try:
         for i in range(1, n_steps + 1):
             t = state.time
-            gbar = decay * (state.g + dt * phi)
-            phi2, conv2 = eng.rhs(gbar, t + dt, config.forcing)
-            gnew = decay * state.g + 0.5 * dt * (decay * phi + phi2)
-            gnew[0] = gnew[0].real
-            u2_new, w2_new = eng.norms(gnew)
-            if u2_new > 100.0 * u2 + 1e-300:
-                raise SolverInstability(
-                    f"norm grew {np.sqrt(u2_new / max(u2, 1e-300)):.2f}x in one "
-                    f"step at t={t:.6g} (dt={dt:.3g})")
+            gnew, u2_new, w2_new = eng.heun(state.g, phi, t, dt, decay, u2)
             visc += 0.5 * float(
                 np.sum(eng.wr[:, None] * (np.abs(state.g) ** 2 * fwd_w
                                           + np.abs(gnew) ** 2 * bwd_w)))
-            if config.forcing is not None:
-                fnow = config.forcing.at(t + dt)
-                pin = float(np.sum(eng.wr[:, None] * (np.conj(gnew) * fnow).real / eng.lam))
-                fold = config.forcing.at(t)
-                pold = float(np.sum(eng.wr[:, None] * (np.conj(state.g) * fold).real / eng.lam))
-                ein += dt * (pin + pold)  # running 2 int <f, u>
+            if config.forcing is not None:  # running 2 int <f, u>, trapezoid
+                ein += dt * (eng.flux(gnew, config.forcing.at(t + dt))
+                             + eng.flux(state.g, config.forcing.at(t)))
             state = SpectralCoeffs(g=gnew, time=t + dt)
             u2, w2 = u2_new, w2_new
-            phi, conv = eng.rhs(state.g, state.time, config.forcing)
+            phi, conv = eng.rhs(state.g, state.time)
             fl = 0.0 if config.linear else eng.flux(state.g, conv)
             if i % config.sample_stride == 0 or i == n_steps:
                 record()
@@ -340,9 +333,8 @@ def linear_trace(init: SpectralCoeffs, basis: StokesBasis, nu: float,
     lam = basis.lam[: init.n_theta + 1, : init.n_r]
     wr = _reality_weights(init.n_theta)[:, None]
     g = init.g[None, :, :] * np.exp(-nu * times[:, None, None] * lam[None, :, :])
-    mag = np.abs(g) ** 2
-    w2 = np.sum(wr[None] * mag, axis=(1, 2))
-    u2 = np.sum(wr[None] * mag / lam[None], axis=(1, 2))
+    w2 = norm_sq_series(g, basis, "vorticity")
+    u2 = norm_sq_series(g, basis, "velocity")
     mag0 = np.abs(init.g) ** 2
     visc = np.array([float(np.sum(
         wr * mag0 * (1.0 - np.exp(-2.0 * nu * lam * t)) / lam)) for t in times])

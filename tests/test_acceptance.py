@@ -143,6 +143,8 @@ def test_acceptance_06_energy_inequality():
     lhs = tr.u_norm_sq[-1] + tr.visc_cum[-1]
     rhs = tr.u_norm_sq[0] * (1.0 + 1e-6)
     assert lhs <= rhs
+    budget = tr.u_norm_sq + tr.visc_cum - tr.u_norm_sq[0] - tr.energy_in
+    assert np.abs(budget).max() / tr.u_norm_sq[0] <= 1e-6
     flux = float(np.abs(tr.flux).max())
     assert flux < 1e-7
     print(f"ACCEPTANCE 06 energy inequality: PASS "

@@ -211,6 +211,24 @@ def test_rerun_from_manifest_reproduces_output(tmp_path):
             == (out2 / "snapshots.json").read_bytes())
 
 
+def test_readme_sim_config_with_null_dt_reruns_from_manifest(tmp_path):
+    cfg = {"nu": 0.05, "t_end": 1.0, "n_theta": 8, "n_r": 8, "dt": None,
+           "init": "radial-1", "linear": False, "seed": 0, "amplitude": 0.1,
+           "sample_stride": 1, "snapshot_stride": 50}
+    cfgfile = tmp_path / "sim.json"
+    cfgfile.write_text(json.dumps(cfg))
+    out1 = tmp_path / "run1"
+    assert main(["simulate", "--config", str(cfgfile), "--out", str(out1)]) == 0
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert manifest["config"]["dt"] is None
+    cfg2file = tmp_path / "sim2.json"
+    cfg2file.write_text(json.dumps(manifest["config"]))
+    out2 = tmp_path / "run2"
+    assert main(["simulate", "--config", str(cfg2file), "--out", str(out2)]) == 0
+    assert ((out1 / "trace.csv").read_bytes()
+            == (out2 / "trace.csv").read_bytes())
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "diskflow.cli", "--version"],

@@ -7,7 +7,7 @@ import scipy.special as sp
 from diskflow.basis import stokes_basis
 from diskflow.field import (GridError, SpectralCoeffs, build_grid,
                             inner_product, mode_inner_product, norm_l2,
-                            project, synthesize)
+                            norm_sq_series, project, radial_rule, synthesize)
 from oracles import trapezoid_radial
 
 
@@ -121,12 +121,27 @@ def test_velocity_norm_identities(bas):
     assert norm_l2(c, bas, "gradient") == pytest.approx(1.0, abs=1e-12)
 
 
-def test_gradient_quadrature_matches_parseval(bas, rng):
-    # full-disk gradient norm via layer quadrature with delta = 1
+@pytest.mark.parametrize("quantity", ["vorticity", "velocity", "gradient"])
+def test_gradient_quadrature_matches_parseval(bas, rng, quantity):
+    # full-disk norm via layer quadrature with delta = 1
     c = random_coeffs(rng, 4, 4)
-    fast = norm_l2(c, bas, "gradient")
-    quad = norm_l2(c, bas, "gradient", delta=1.0 - 1e-12)
+    fast = norm_l2(c, bas, quantity)
+    quad = norm_l2(c, bas, quantity, delta=1.0 - 1e-12)
     assert quad == pytest.approx(fast, rel=1e-8)
+
+
+@pytest.mark.parametrize("quantity", ["vorticity", "velocity", "gradient"])
+def test_norm_sq_series_of_stack_matches_norm_l2(bas, rng, quantity):
+    states = [random_coeffs(rng, 4, 4) for _ in range(3)]
+    stack = np.stack([c.g for c in states])
+    disk = norm_sq_series(stack, bas, quantity)
+    rule = radial_rule(0.7, float(bas.alpha[:5, :4].max()))
+    layer = norm_sq_series(stack, bas, quantity, rule)
+    assert disk.shape == layer.shape == (3,)
+    for i, c in enumerate(states):
+        assert disk[i] == pytest.approx(norm_l2(c, bas, quantity), rel=1e-14)
+        assert layer[i] == pytest.approx(
+            norm_l2(c, bas, quantity, delta=0.3), rel=1e-14)
 
 
 def test_zero_mean_of_synthesized_vorticity(bas, disk_grid, rng):
@@ -149,13 +164,12 @@ def test_annulus_additivity_and_monotonicity(bas, rng):
 
 
 def _norm_on_inner_disk(c, bas, delta):
-    from diskflow.field import _coeff_norm_sq_quad
     from numpy.polynomial.legendre import leggauss
 
     xi, wq = leggauss(512)
     r = 0.5 * (1 - delta) * (xi + 1)
     w = 0.5 * (1 - delta) * wq * r
-    return _coeff_norm_sq_quad(c, bas, "vorticity", r, w)
+    return norm_sq_series(c.g, bas, "vorticity", (r, w))
 
 
 def test_single_mode_layer_mass_bound(bas):

@@ -168,6 +168,27 @@ def test_forced_linear_mode_against_closed_form(bas):
     assert tr.energy_in[-1] > 0.0
 
 
+def test_forced_energy_budget_converges_at_second_order(bas):
+    # |u(t)|^2 + 2 nu int |w|^2 - |u(0)|^2 - 2 int <f, u> vanishes up to the
+    # time-stepping error, which must shrink 4x when dt halves
+    rng = np.random.default_rng(7)
+    f = 0.01 * (rng.standard_normal((2, 7, 6)) + 1j * rng.standard_normal((2, 7, 6)))
+    f[:, 0] = f[:, 0].real
+    forcing = ForcingSeries(times=np.array([0.0, 1.0]), g=f)
+
+    def residual(dt):
+        cfg = SimConfig(nu=0.05, t_end=0.5, n_theta=6, n_r=6, dt=dt,
+                        init="generic", seed=2, forcing=forcing)
+        tr = simulate(cfg, bas)
+        assert not tr.failed
+        budget = tr.u_norm_sq + tr.visc_cum - tr.u_norm_sq[0] - tr.energy_in
+        return np.abs(budget).max() / tr.u_norm_sq.max()
+
+    coarse, fine = residual(0.002), residual(0.001)
+    assert fine < 5e-3
+    assert 3.5 < coarse / fine < 4.5
+
+
 def test_instability_detection_returns_partial_trace(bas):
     init = SpectralCoeffs.zeros(2, 2)
     init.g[0, 0] = 1e3  # violent data with a huge step
