@@ -91,94 +91,89 @@ class StokesBasis:
 
         Returns a complex array of shape (ncomp, k_max, r.size) such that the
         quantity of mode (n, k) at (r, theta) is profile[:, k-1, :] times
-        exp(i n theta).
+        exp(i n theta).  Rows are cached per (n, quantity, k_max, r).
         """
         k_max = self.k_max if k_max is None else k_max
-        if quantity not in QUANTITIES:
-            raise ValueError(f"unknown quantity {quantity!r}")
         self._check(n, max(k_max, 1))
         key = (n, quantity, k_max, r.size, hash(r.tobytes()))
         hit = self._profile_cache.get(key)
         if hit is not None:
             return hit
-        parts = _row_radial(n, self.alpha[n, :k_max], self.c_signed[n, :k_max], r)
-        prof = _assemble(n, parts, r, quantity)
+        prof = _radial_profiles(n, self.alpha[n, :k_max], self.c_signed[n, :k_max],
+                                r, quantity)
         self._profile_cache[key] = prof
         return prof
 
 
-def _row_radial(n: int, alphas: np.ndarray, c_signed: np.ndarray,
-                r: np.ndarray) -> dict[str, np.ndarray]:
-    """Shared radial building blocks R, T and derivatives for one n-row.
+def _radial_profiles(n: int, alphas: np.ndarray, c_signed: np.ndarray,
+                     r: np.ndarray, quantity: str) -> np.ndarray:
+    """Radial factors of the modes (n, alphas) for one quantity.
 
-    R and T are the radial factors of the velocity components: the mode's
-    velocity is (i n R(r), T(r)) exp(i n theta) in polar components.  All
-    returned arrays have shape (len(alphas), len(r)) and include the
-    normalization constant.
+    Returns shape (ncomp, len(alphas), len(r)), normalization included.
+    The velocity of a mode is (i n R(r), T(r)) exp(i n theta) in polar
+    components; every other quantity is built from J_n, R, T and their
+    radial derivatives.
     """
+    if quantity not in QUANTITIES:
+        raise ValueError(f"unknown quantity {quantity!r}")
     K, Q = alphas.size, r.size
     x = np.multiply.outer(alphas, r).ravel()
     jm1, jn, jp1 = jn_trio(n, x)
     jn = jn.reshape(K, Q)
+    cs = c_signed[:, None]
+    if quantity == "vorticity":
+        return (cs * jn)[None, :, :].astype(complex)
     jp = (0.5 * (jm1 - jp1)).reshape(K, Q)
     a = alphas[:, None]
-    cs = c_signed[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xg = a * r[None, :]
-        jpp = -jp / xg + (n * n / (xg * xg) - 1.0) * jn
+    rr = r[None, :]
     ja = 1.0 / (_SQRT_PI * cs)  # J_n(alpha), signed
-    rn1 = r[None, :] ** (n - 1) if n >= 1 else np.zeros((1, Q))
+    rn1 = rr ** (n - 1) if n >= 1 else np.zeros((1, Q))
     # r^(n-2) only ever enters multiplied by (n - 1), so n <= 1 never uses it
-    rn2 = r[None, :] ** (n - 2) if n >= 2 else np.zeros((1, Q))
+    rn2 = rr ** (n - 2) if n >= 2 else np.zeros((1, Q))
     inv_a2 = 1.0 / (a * a)
     if n >= 1:
-        R = cs * (jn / r[None, :] - ja * rn1) * inv_a2
-        Rp = cs * (a * jp / r[None, :] - jn / r[None, :] ** 2
-                   - (n - 1) * ja * rn2) * inv_a2
+        R = cs * (jn / rr - ja * rn1) * inv_a2
+        Rp = cs * (a * jp / rr - jn / rr ** 2 - (n - 1) * ja * rn2) * inv_a2
     else:
-        R = np.zeros((K, Q))
-        Rp = np.zeros((K, Q))
+        R = Rp = np.zeros((K, Q))
     T = cs * (n * ja * rn1 - a * jp) * inv_a2
-    Tp = cs * (n * (n - 1) * ja * rn2 - a * a * jpp) * inv_a2
-    return {"J": jn, "Jp": jp, "R": R, "Rp": Rp, "T": T, "Tp": Tp, "cs": cs}
-
-
-def _assemble(n: int, parts: dict, r: np.ndarray, quantity: str) -> np.ndarray:
-    rr = r[None, :]
-    if quantity == "vorticity":
-        prof = (parts["cs"] * parts["J"])[None, :, :].astype(complex)
-    elif quantity == "velocity":
-        prof = np.stack([1j * n * parts["R"], parts["T"] + 0j])
+    if quantity == "velocity":
+        prof = np.stack([1j * n * R, T + 0j])
     elif quantity == "gradient":
         # Entries of the polar velocity gradient in the orthonormal frame:
         # [d_r u^r, (1/r) d_th u^r - u^th/r; d_r u^th, (1/r) d_th u^th + u^r/r]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xg = a * rr
+            jpp = -jp / xg + (n * n / (xg * xg) - 1.0) * jn
+        Tp = cs * (n * (n - 1) * ja * rn2 - a * a * jpp) * inv_a2
         prof = np.stack([
-            1j * n * parts["Rp"],
-            (-(n * n) * parts["R"] - parts["T"]) / rr + 0j,
-            parts["Tp"] + 0j,
-            1j * n * (parts["T"] + parts["R"]) / rr,
+            1j * n * Rp,
+            (-(n * n) * R - T) / rr + 0j,
+            Tp + 0j,
+            1j * n * (T + R) / rr,
         ])
     elif quantity == "dtau_utau":
-        prof = (1j * n * parts["T"] / rr)[None, :, :]
-    elif quantity == "dtau_un":
-        prof = (-(n * n) * parts["R"] / rr)[None, :, :].astype(complex)
-    else:
-        raise ValueError(f"unknown quantity {quantity!r}")
+        prof = (1j * n * T / rr)[None, :, :]
+    else:  # dtau_un
+        prof = (-(n * n) * R / rr)[None, :, :].astype(complex)
     return np.ascontiguousarray(prof)
 
 
-def _pair_parts(pair: EigenPair, r: float) -> dict[str, float]:
-    parts = _row_radial(pair.n, np.array([pair.alpha]),
-                        np.array([pair.c_signed]), np.array([float(r)]))
-    return {k: (v[0, 0] if isinstance(v, np.ndarray) else v) for k, v in parts.items()}
+def pair_profile(pair: EigenPair, r: np.ndarray, quantity: str) -> np.ndarray:
+    """Radial factor of one mode, shape (ncomp, r.size); not cached.
+
+    Equal to profile_matrix(pair.n, r, quantity)[:, pair.k - 1] up to
+    roundoff, without evaluating the rest of the row.
+    """
+    return _radial_profiles(pair.n, np.array([pair.alpha]), np.array([pair.c_signed]),
+                            np.asarray(r, dtype=float), quantity)[:, 0, :]
 
 
 def vorticity_eval(pair: EigenPair, r: float, theta: float) -> complex:
     """Vorticity of one mode at a point of the closed disk."""
     if not 0.0 <= r <= 1.0:
         raise BesselDomainError(f"radius {r} outside [0, 1]")
-    j = jn_trio(pair.n, np.array([pair.alpha * r]))[1][0]
-    return pair.c_signed * j * np.exp(1j * pair.n * theta)
+    return pair_profile(pair, [r], "vorticity")[0, 0] * np.exp(1j * pair.n * theta)
 
 
 def velocity_eval(pair: EigenPair, r: float, theta: float) -> np.ndarray:
@@ -190,17 +185,15 @@ def velocity_eval(pair: EigenPair, r: float, theta: float) -> np.ndarray:
     if not 0.0 <= r <= 1.0:
         raise BesselDomainError(f"radius {r} outside [0, 1]")
     n = pair.n
-    if r < _R_LIMIT:
-        if n == 1:
-            ja = 1.0 / (_SQRT_PI * pair.c_signed)
-            r0 = pair.c_signed * (0.5 * pair.alpha - ja) / pair.lam
-            ur, ut = 1j * r0, -r0
-        else:
-            ur, ut = 0.0j, 0.0
+    if r >= _R_LIMIT:
+        u = pair_profile(pair, [r], "velocity")[:, 0]
+    elif n == 1:
+        ja = 1.0 / (_SQRT_PI * pair.c_signed)
+        r0 = pair.c_signed * (0.5 * pair.alpha - ja) / pair.lam
+        u = np.array([1j * r0, -r0])
     else:
-        p = _pair_parts(pair, r)
-        ur, ut = 1j * n * p["R"], p["T"]
-    return np.array([ur, ut]) * np.exp(1j * n * theta)
+        u = np.zeros(2, dtype=complex)
+    return u * np.exp(1j * n * theta)
 
 
 def velocity_gradient_eval(pair: EigenPair, r: float, theta: float) -> np.ndarray:
@@ -212,13 +205,8 @@ def velocity_gradient_eval(pair: EigenPair, r: float, theta: float) -> np.ndarra
     """
     if not _R_LIMIT <= r <= 1.0:
         raise BesselDomainError(f"radius {r} outside ({_R_LIMIT}, 1]")
-    n = pair.n
-    p = _pair_parts(pair, r)
-    a = 1j * n * p["Rp"]
-    b = (-(n * n) * p["R"] - p["T"]) / r
-    c = p["Tp"]
-    d = 1j * n * (p["T"] + p["R"]) / r
-    return np.array([[a, b], [c, d]]) * np.exp(1j * n * theta)
+    grad = pair_profile(pair, [r], "gradient")[:, 0].reshape(2, 2)
+    return grad * np.exp(1j * pair.n * theta)
 
 
 _basis_cache: dict[tuple[int, int], StokesBasis] = {}

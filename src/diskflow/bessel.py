@@ -42,23 +42,6 @@ def _check_order(n: int) -> int:
     return int(n)
 
 
-def _series_block(nmax: int, x: np.ndarray) -> np.ndarray:
-    """J_0..J_nmax at each x via the ascending series; valid for small x."""
-    half = 0.5 * x
-    q = half * half
-    out = np.empty((nmax + 1, x.size))
-    lead = np.ones_like(x)  # (x/2)^m / m!
-    for m in range(nmax + 1):
-        term = lead.copy()
-        acc = term.copy()
-        for t in range(1, 14):
-            term = term * (-q) / (t * (m + t))
-            acc += term
-        out[m] = acc
-        lead = lead * half / (m + 1)
-    return out
-
-
 def _miller_select(nmax: int, x: np.ndarray, save: frozenset[int]) -> np.ndarray:
     """Selected orders of J at each x > 0 via normalized backward recurrence.
 
@@ -145,13 +128,7 @@ def jn_block(nmax: int, x) -> np.ndarray:
     flat = np.atleast_1d(x).ravel()
     if flat.size and flat.min() < 0.0:
         raise BesselDomainError("argument must be nonnegative")
-    out = np.empty((nmax + 1, flat.size))
-    small = flat <= _SERIES_X_CUT
-    if small.any():
-        out[:, small] = _series_block(nmax, flat[small])
-    if (~small).any():
-        out[:, ~small] = _miller_select(nmax, flat[~small], frozenset(range(nmax + 1)))
-    return out.reshape((nmax + 1,) + x.shape)
+    return _jn_orders(nmax, flat, range(nmax + 1)).reshape((nmax + 1,) + x.shape)
 
 
 def jn_trio(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

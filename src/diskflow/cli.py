@@ -18,13 +18,19 @@ import numpy as np
 
 from . import __version__
 from .basis import StokesBasis, stokes_basis
-from .bessel import zero_table
+from .bessel import ZeroConvergenceError, zero_table
 from .diagnostics import (CONDITION_KINDS, LEMMA_IDS, ScheduleSpec,
                           condition_functional, verify_lemma, vv_gap)
 from .field import SpectralCoeffs
 from .solver import SimConfig, simulate
 
 SWEEP_KINDS = CONDITION_KINDS + ("gap",)
+
+# Exit codes: 0 success, 1 a failed simulation or strict inequality, and one
+# per failure class: 2 invalid arguments, config or input file (also a sweep
+# with no successful point), 3 a Bessel zero that did not converge, 4 an
+# output that could not be written.
+EXIT_CODES = {ValueError: 2, ZeroConvergenceError: 3, OSError: 4}
 
 
 class ConfigError(ValueError):
@@ -60,9 +66,12 @@ def _load_config(args) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        cfg = json.loads(p.read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file {p}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"cannot read config file {p}: not a JSON object")
+    return cfg
 
 
 def _expect(cfg: dict, key: str, types, default=None, required=False):
@@ -83,7 +92,11 @@ def _resolve_init(spec, outbase: Path | None = None):
         p = Path(spec["file"])
         if outbase is not None and not p.is_absolute():
             p = outbase / p
-        return SpectralCoeffs.from_dict(json.loads(p.read_text()))
+        try:
+            return SpectralCoeffs.from_dict(json.loads(p.read_text()))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"cannot read init file {p}: "
+                              f"{type(exc).__name__}: {exc}") from exc
     raise ConfigError("init must be a preset name or {'file': path}")
 
 
@@ -341,9 +354,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError) as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"diskflow {args.command}: {exc}", file=sys.stderr)
-        return 2
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

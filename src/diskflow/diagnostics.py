@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .basis import StokesBasis
+from .basis import StokesBasis, pair_profile, stokes_basis
 from .bessel import compound_decay, jn_trio, zero_table
-from .field import SpectralCoeffs, norm_sq_series, radial_rule
+from .field import (SpectralCoeffs, _gauss_radial, mode_inner_product,
+                    norm_sq_series, radial_rule)
 from .solver import SimTrace
 
 CONDITION_KINDS = ("K1", "K2", "K3", "K4", "K5", "K6",
@@ -93,11 +93,18 @@ class TruncationSpec:
         raise ValueError(f"unknown truncation kind {self.kind!r}")
 
 
+def _apply_mask(g: np.ndarray, spec: TruncationSpec, keep: bool = True,
+                basis: StokesBasis | None = None) -> np.ndarray:
+    """g[..., n, k] with the modes outside the truncation zeroed, or with
+    those inside it zeroed for keep=False (the residual)."""
+    m = spec.mask(g.shape[-2] - 1, g.shape[-1], basis)
+    return np.where(m if keep else ~m, g, 0.0)
+
+
 def truncate(coeffs: SpectralCoeffs, spec: TruncationSpec,
              basis: StokesBasis | None = None) -> SpectralCoeffs:
     """Zero all coefficients outside the truncation; idempotent."""
-    m = spec.mask(coeffs.n_theta, coeffs.n_r, basis)
-    return SpectralCoeffs(g=np.where(m, coeffs.g, 0.0), time=coeffs.time)
+    return SpectralCoeffs(g=_apply_mask(coeffs.g, spec, basis=basis), time=coeffs.time)
 
 
 @dataclass(frozen=True)
@@ -186,19 +193,19 @@ def condition_functional(trace: SimTrace, kind: str, schedule: ScheduleSpec,
     if L < 1 or M <= L:
         raise ScheduleError(f"need 1 <= L < M at nu={nu}, got L={L}, M={M}")
 
-    no_mask = None
-    band = TruncationSpec.band(L, M).mask(nt, nr)
-    sq_res = ~TruncationSpec.square(L).mask(nt, nr)
-    tan_res = ~TruncationSpec.tangential(L).mask(nt, nr)
-    tan_res_d = ~TruncationSpec.tangential(Ld).mask(nt, nr)
+    # (truncation, keep): the band is kept, the other truncations' residuals
+    band = (TruncationSpec.band(L, M), True)
+    sq_res = (TruncationSpec.square(L), False)
+    tan_res = (TruncationSpec.tangential(L), False)
+    tan_res_d = (TruncationSpec.tangential(Ld), False)
 
     table = {
-        "K1": (nu, "vorticity", None, no_mask),
-        "K2": (nu, "vorticity", thin, no_mask),
-        "K3": (nu, "gradient", thin, no_mask),
-        "K4": (nu, "dtau_utau", wide, no_mask),
-        "K5": (nu, "dtau_un", wide, no_mask),
-        "K6": (1.0 / nu, "velocity", thin, no_mask),
+        "K1": (nu, "vorticity", None, None),
+        "K2": (nu, "vorticity", thin, None),
+        "K3": (nu, "gradient", thin, None),
+        "K4": (nu, "dtau_utau", wide, None),
+        "K5": (nu, "dtau_un", wide, None),
+        "K6": (1.0 / nu, "velocity", thin, None),
         "N1": (nu, "vorticity", None, band),
         "N2": (nu, "vorticity", None, tan_res),
         "N3": (nu, "vorticity", thin, sq_res),
@@ -207,8 +214,8 @@ def condition_functional(trace: SimTrace, kind: str, schedule: ScheduleSpec,
         "N6": (nu, "dtau_un", wide, tan_res_d),
         "N7": (1.0 / nu, "velocity", thin, band),
     }
-    weight, quantity, delta, mask = table[kind]
-    g = trace.g if mask is None else trace.g * mask[None, :, :]
+    weight, quantity, delta, trunc = table[kind]
+    g = trace.g if trunc is None else _apply_mask(trace.g, *trunc)
     rule = None
     if delta is not None:
         alpha_max = float(basis.alpha[: nt + 1, :nr].max())
@@ -235,16 +242,12 @@ def vv_gap(trace: SimTrace, reference, basis: StokesBasis) -> float:
 
 def truncate_trace(trace: SimTrace, spec: TruncationSpec,
                    basis: StokesBasis | None = None) -> SimTrace:
-    nt = trace.g.shape[1] - 1
-    m = spec.mask(nt, trace.g.shape[2], basis)
-    return trace.with_coeffs(trace.g * m[None, :, :])
+    return trace.with_coeffs(_apply_mask(trace.g, spec, basis=basis))
 
 
 def residual_trace(trace: SimTrace, spec: TruncationSpec,
                    basis: StokesBasis | None = None) -> SimTrace:
-    nt = trace.g.shape[1] - 1
-    m = spec.mask(nt, trace.g.shape[2], basis)
-    return trace.with_coeffs(trace.g * (~m)[None, :, :])
+    return trace.with_coeffs(_apply_mask(trace.g, spec, keep=False, basis=basis))
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +290,6 @@ class LemmaReport:
                    "observed": observed, "bound": bound, "margin": margin}
 
 
-@lru_cache(maxsize=64)
-def _gl_nodes_cached(n: int):
-    from numpy.polynomial.legendre import leggauss
-
-    return leggauss(n)
-
-
 def _mode_layer_mass(basis: StokesBasis, n: int, k: int, deltas: np.ndarray,
                      quantity: str) -> np.ndarray:
     """Squared layer norm of one complex mode for several layer widths.
@@ -301,25 +297,13 @@ def _mode_layer_mass(basis: StokesBasis, n: int, k: int, deltas: np.ndarray,
     All layers share one Bessel evaluation pass; the node count per layer
     tracks the number of radial oscillations inside it.
     """
-    from .basis import _assemble, _row_radial
-
     pair = basis.pair(n, k)
     nq = int(max(48, 1.6 * pair.alpha * float(deltas.max()) + 24))
-    xi, wq = _gl_nodes_cached(nq)
-    rs, ws = [], []
-    for d in deltas:
-        half = 0.5 * float(d)
-        r = (1.0 - d) + half * (xi + 1.0)
-        rs.append(r)
-        ws.append(half * wq * r)
-    r_all = np.concatenate(rs)
-    parts = _row_radial(n, np.array([pair.alpha]), np.array([pair.c_signed]), r_all)
-    prof = _assemble(n, parts, r_all, quantity)[:, 0, :]
-    dens = np.sum(np.abs(prof) ** 2, axis=0)
-    out = np.empty(deltas.size)
-    for i in range(deltas.size):
-        out[i] = 2.0 * np.pi * float(np.dot(ws[i], dens[i * nq:(i + 1) * nq]))
-    return out
+    rules = [_gauss_radial(nq, 1.0 - float(d)) for d in deltas]
+    prof = pair_profile(pair, np.concatenate([r for r, _ in rules]), quantity)
+    dens = np.sum(np.abs(prof) ** 2, axis=0).reshape(deltas.size, nq)
+    return np.array([2.0 * np.pi * float(np.dot(w, d))
+                     for (_, w), d in zip(rules, dens)])
 
 
 def verify_lemma(lemma_id: str, n_max: int = 50, k_max: int = 50,
@@ -337,8 +321,6 @@ def verify_lemma(lemma_id: str, n_max: int = 50, k_max: int = 50,
                          f"{', '.join(LEMMA_IDS)}")
     if basis is None and lemma_id not in ("ZeroDifference", "jnkRange",
                                           "UsefulFunctionBound"):
-        from .basis import stokes_basis
-
         basis = stokes_basis(n_max, k_max)
     fn = _LEMMA_DISPATCH[lemma_id]
     return fn(n_max, k_max, basis, x_samples, delta_samples, tol)
@@ -512,8 +494,6 @@ def _scan_l2_u_layer_general(n_max, k_max, basis, xs, ds, tol, c2: float = 0.5):
 
 
 def _scan_cross_inner_products(n_max, k_max, basis, xs, ds, tol):
-    from .field import mode_inner_product
-
     rng = np.random.default_rng(0)
     pairs = set()
     for m in range(0, n_max + 1, max(1, n_max // 10)):

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .basis import QUANTITIES, StokesBasis
+from .basis import QUANTITIES, StokesBasis, pair_profile
 from .bessel import jn_trio
 
 _RULE_TOL = 1.0e-11
@@ -48,8 +49,14 @@ class PolarGrid:
                 and self.r.size == other.r.size and np.array_equal(self.r, other.r))
 
 
+# leggauss costs about a millisecond per call, and a lemma scan asks for the
+# same few node counts thousands of times.
+_leggauss = lru_cache(maxsize=64)(leggauss)
+
+
 def _gauss_radial(n_radial: int, r_lo: float) -> tuple[np.ndarray, np.ndarray]:
-    xi, wq = leggauss(n_radial)
+    """Gauss-Legendre rule on (r_lo, 1); the weights include the Jacobian r."""
+    xi, wq = _leggauss(n_radial)
     half = 0.5 * (1.0 - r_lo)
     r = r_lo + half * (xi + 1.0)
     return r, half * wq * r
@@ -309,10 +316,10 @@ def mode_inner_product(basis: StokesBasis, mode_a: tuple[int, int],
     (m, j), (n, k) = mode_a, mode_b
     if n_angular is None:
         n_angular = 2 * max(m, n) + 4
-    alpha_max = max(basis.pair(m, j).alpha, basis.pair(n, k).alpha)
-    r, w = radial_rule(1.0 - delta, alpha_max, n_radial)
-    pa = basis.profile_matrix(m, r, quantity)[:, j - 1, :]
-    pb = basis.profile_matrix(n, r, quantity)[:, k - 1, :]
+    pair_a, pair_b = basis.pair(m, j), basis.pair(n, k)
+    r, w = radial_rule(1.0 - delta, max(pair_a.alpha, pair_b.alpha), n_radial)
+    pa = pair_profile(pair_a, r, quantity)
+    pb = pair_profile(pair_b, r, quantity)
     th = 2.0 * np.pi * np.arange(n_angular) / n_angular
     ang = np.sum(np.exp(1j * (m - n) * th)) * (2.0 * np.pi / n_angular)
     rad = complex(np.sum(w[None, :] * pa * np.conj(pb)))

@@ -20,7 +20,8 @@ from .field import (SpectralCoeffs, _gauss_radial, _reality_weights,
 
 
 class SolverInstability(RuntimeError):
-    """Norm grew by more than 10x in a single step."""
+    """Norm grew by more than 10x in a single step, beyond what the forcing
+    alone supplies."""
 
 
 @dataclass
@@ -189,15 +190,21 @@ class _Engine:
              decay: np.ndarray, u2: float) -> tuple[np.ndarray, float, float]:
         """One exponential-Heun step of length dt from g at time t, where phi
         is rhs(g, t) and u2 is |u|^2 of g; returns the new state and its
-        |u|^2 and |omega|^2."""
+        |u|^2 and |omega|^2.  Growth is judged against the larger of u2 and
+        |u|^2 of the step without convection (u2 itself when unforced)."""
         gbar = decay * (g + dt * phi)
         phi2, _ = self.rhs(gbar, t + dt)
         gnew = decay * g + 0.5 * dt * (decay * phi + phi2)
         gnew[0] = gnew[0].real
         u2_new, w2_new = self.norms(gnew)
-        if u2_new > 100.0 * u2 + 1e-300:
+        ref = u2
+        if self.forcing is not None:
+            f0, f1 = self.forcing.at(t), self.forcing.at(t + dt)
+            glin = decay * g + 0.5 * dt * self.lam * (decay * f0 + f1)
+            ref = max(u2, float(norm_sq_series(glin, self.basis, "velocity")))
+        if u2_new > 100.0 * ref + 1e-300:
             raise SolverInstability(
-                f"norm grew {np.sqrt(u2_new / max(u2, 1e-300)):.2f}x in one step "
+                f"norm grew {np.sqrt(u2_new / max(ref, 1e-300)):.2f}x in one step "
                 f"at t={t:.6g} (dt={dt:.3g})")
         return gnew, u2_new, w2_new
 

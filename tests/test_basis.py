@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from diskflow.basis import (velocity_eval, velocity_gradient_eval,
-                            vorticity_eval)
+from diskflow.basis import (QUANTITIES, pair_profile, velocity_eval,
+                            velocity_gradient_eval, vorticity_eval)
 from diskflow.bessel import BesselDomainError
 from oracles import bisect_zero, series_jn, trapezoid_radial
 
@@ -224,3 +224,15 @@ def test_table_bounds_checked(basis13):
         basis13.pair(0, 14)
     with pytest.raises(BesselDomainError):
         basis13.pair(0, 0)
+
+
+@pytest.mark.parametrize("quantity", sorted(QUANTITIES))
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
+def test_pair_profile_matches_profile_matrix_column(basis13, n, quantity):
+    r = np.linspace(0.01, 1.0, 37)
+    row = basis13.profile_matrix(n, r, quantity)
+    for k in range(1, basis13.k_max + 1):
+        single = pair_profile(basis13.pair(n, k), r, quantity)
+        assert single.shape == (QUANTITIES[quantity], r.size)
+        np.testing.assert_allclose(single, row[:, k - 1], rtol=0,
+                                   atol=1e-14 * np.abs(row).max())

@@ -80,6 +80,76 @@ def test_simulate_requires_config(tmp_path):
     assert main(["simulate", "--out", str(tmp_path / "x")]) == 2
 
 
+def _write_sim_config(tmp_path, **over):
+    cfg = {"nu": 0.05, "t_end": 0.1, "n_theta": 2, "n_r": 3, "dt": 0.01,
+           "init": "radial-1", "linear": True}
+    cfg.update(over)
+    cfgfile = tmp_path / "sim.json"
+    cfgfile.write_text(json.dumps(cfg))
+    return cfgfile
+
+
+def test_simulate_failed_run_exits_1(tmp_path, capsys):
+    cfgfile = _write_sim_config(tmp_path, nu=0.001, t_end=1.0, n_theta=6,
+                                n_r=6, dt=0.05, init="generic", seed=2,
+                                amplitude=50.0, linear=False)
+    assert main(["simulate", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "FAILED: norm grew" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content", [None, "{not json", '{"n_theta": 2, "n_r": 3}'],
+                         ids=["missing", "not-json", "no-re-key"])
+def test_unreadable_init_file_exits_2_naming_the_file(tmp_path, capsys, content):
+    coeffs = tmp_path / "coeffs.json"
+    if content is not None:
+        coeffs.write_text(content)
+    cfgfile = _write_sim_config(tmp_path, init={"file": "coeffs.json"})
+    assert main(["simulate", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read init file {coeffs}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "5"],
+                         ids=["directory", "not-json", "not-an-object"])
+def test_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, content):
+    cfgfile = tmp_path / "sim.json"
+    if content is None:
+        cfgfile.mkdir()  # exists, but cannot be read as a file
+    else:
+        cfgfile.write_text(content)
+    assert main(["simulate", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read config file {cfgfile}" in err
+    assert "Traceback" not in err
+
+
+def test_zero_convergence_failure_exits_3(tmp_path, capsys, monkeypatch):
+    import diskflow.cli
+    from diskflow.bessel import ZeroConvergenceError
+
+    def stalled(n_max, k_max):
+        raise ZeroConvergenceError("zero refinement stalled for order 3")
+
+    monkeypatch.setattr(diskflow.cli, "zero_table", stalled)
+    assert main(["zeros", "--n-max", "3", "--k-max", "3",
+                 "--out", str(tmp_path / "z")]) == 3
+    assert ("diskflow zeros: zero refinement stalled for order 3"
+            in capsys.readouterr().err)
+
+
+def test_unwritable_output_exits_4(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["zeros", "--n-max", "1", "--k-max", "1",
+                 "--out", str(blocker / "z")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("diskflow zeros: ") and str(blocker) in err
+
+
 def test_sweep_values_match_closed_form(tmp_path):
     cfg = {
         "nu_list": [0.1, 0.05, 0.025],

@@ -267,3 +267,11 @@ def test_tangential_gradient_norm_requires_layer(bas, rng):
     with pytest.raises(ValueError, match="layer width"):
         norm_l2(c, bas, "dtau_un", delta=1.0)
     assert norm_l2(c, bas, "dtau_utau", delta=0.3) >= 0.0
+
+
+def test_mode_inner_product_leaves_profile_cache_unchanged(bas):
+    before = len(bas._profile_cache)
+    for delta in (0.3, 0.07):
+        mode_inner_product(bas, (3, 2), (5, 7), "velocity", delta=delta)
+        mode_inner_product(bas, (1, 4), (1, 4), "vorticity", delta=delta)
+    assert len(bas._profile_cache) == before

@@ -215,3 +215,32 @@ def test_config_validation():
         SimConfig(nu=0.1, t_end=0.0, n_theta=2, n_r=2)
     with pytest.raises(ValueError):
         SimConfig(nu=0.1, t_end=1.0, n_theta=-1, n_r=2)
+
+
+def _random_forcing(n_theta, n_r):
+    rng = np.random.default_rng(7)
+    f = 0.5 * (rng.standard_normal((n_theta + 1, n_r))
+               + 1j * rng.standard_normal((n_theta + 1, n_r)))
+    return ForcingSeries(times=np.array([0.0, 10.0]), g=np.array([f, f]))
+
+
+@pytest.mark.parametrize("linear", [True, False])
+def test_forced_growth_is_not_flagged_as_instability(bas, linear):
+    # the forcing alone multiplies |u|^2 far beyond 100x in the first step;
+    # the linear scheme is stable at any dt, the nonlinear run starts at rest
+    init = "generic" if linear else SpectralCoeffs.zeros(6, 6)
+    cfg = SimConfig(nu=0.05, t_end=0.2, n_theta=6, n_r=6, dt=0.002, init=init,
+                    seed=2, linear=linear, forcing=_random_forcing(6, 6))
+    tr = simulate(cfg, bas)
+    assert not tr.failed, tr.message
+    assert tr.n_samples == 101 and np.isfinite(tr.u_norm_sq).all()
+    assert tr.u_norm_sq[-1] > 100.0 * max(tr.u_norm_sq[0], 1e-30)
+
+
+def test_unforced_blow_up_is_flagged_at_the_same_step(bas):
+    cfg = SimConfig(nu=0.001, t_end=1.0, n_theta=6, n_r=6, dt=0.05,
+                    init="generic", seed=2, amplitude=50.0)
+    tr = simulate(cfg, bas)
+    assert tr.failed
+    assert tr.times[-1] == pytest.approx(0.15)
+    assert tr.message.startswith("norm grew") and "t=0.15 " in tr.message

@@ -1,0 +1,37 @@
+"""The benchmark's traced run wraps package names from outside; renaming one
+of them must fail here, not only in the benchmark."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACED_CLI = ROOT / "perfbench" / "traced_cli.py"
+
+
+def run_traced(tmp_path, name, cli_args):
+    spans = tmp_path / f"{name}.spans.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, str(TRACED_CLI), str(spans), "--", *cli_args,
+         "--out", str(tmp_path / name)],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return {span[0] for span in json.loads(spans.read_text())["spans"]}
+
+
+def test_traced_cli_records_every_layer_span(tmp_path):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"nu": 0.05, "t_end": 0.02, "n_theta": 6,
+                               "n_r": 6, "dt": 0.01, "init": "generic",
+                               "linear": False}))
+    sim = run_traced(tmp_path, "sim", ["simulate", "--config", str(cfg)])
+    assert {"solver.convective", "basis.profile_matrix"} <= sim
+    verify = run_traced(tmp_path, "verify", [
+        "verify", "--lemmas", "SomeL2InnerProductsAreZero,L2omegaGammaBound",
+        "--n-max", "6", "--k-max", "6"])
+    assert {"field.mode_inner_product", "diagnostics.verify_lemma"} <= verify
