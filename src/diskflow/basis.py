@@ -20,13 +20,16 @@ from .bessel import BesselDomainError, jn_trio, zero_table
 _SQRT_PI = math.sqrt(math.pi)
 _R_LIMIT = 1.0e-8  # below this, point evaluation switches to series limits
 
-QUANTITIES = {
-    "vorticity": 1,
-    "velocity": 2,
-    "gradient": 4,
-    "dtau_utau": 1,  # (1/r) d/dtheta of the angular velocity component
-    "dtau_un": 1,    # (1/r) d/dtheta of the radial velocity component
+# Every component of a mode's profile is a real radial factor times a fixed
+# phase; profile_matrix and pair_profile return the real factors.
+PHASES = {
+    "vorticity": (1,),
+    "velocity": (1j, 1),           # (u^r, u^theta)
+    "gradient": (1j, 1, 1, 1j),    # row-major polar gradient tensor
+    "dtau_utau": (1j,),  # (1/r) d/dtheta of the angular velocity component
+    "dtau_un": (1,),     # (1/r) d/dtheta of the radial velocity component
 }
+QUANTITIES = {q: len(ph) for q, ph in PHASES.items()}
 
 
 @dataclass(frozen=True)
@@ -89,30 +92,34 @@ class StokesBasis:
                        k_max: int | None = None) -> np.ndarray:
         """Radial factors of the modes (n, 1..k_max) for one field quantity.
 
-        Returns a complex array of shape (ncomp, k_max, r.size) such that the
-        quantity of mode (n, k) at (r, theta) is profile[:, k-1, :] times
-        exp(i n theta).  Rows are cached per (n, quantity, k_max, r).
+        Returns a real array of shape (ncomp, k_max, r.size) such that
+        component c of the quantity of mode (n, k) at (r, theta) is
+        PHASES[quantity][c] * profile[c, k-1, :] * exp(i n theta).  Rows are
+        cached per (n, quantity, k_max, r); a gradient row also caches the
+        velocity row of its Bessel pass.
         """
         k_max = self.k_max if k_max is None else k_max
         self._check(n, max(k_max, 1))
-        key = (n, quantity, k_max, r.size, hash(r.tobytes()))
-        hit = self._profile_cache.get(key)
+        key = (n, k_max, r.size, hash(r.tobytes()))
+        hit = self._profile_cache.get((quantity,) + key)
         if hit is not None:
             return hit
-        prof = _radial_profiles(n, self.alpha[n, :k_max], self.c_signed[n, :k_max],
-                                r, quantity)
-        self._profile_cache[key] = prof
-        return prof
+        profs = _radial_profiles(n, self.alpha[n, :k_max], self.c_signed[n, :k_max],
+                                 r, quantity)
+        for q, prof in profs.items():
+            self._profile_cache.setdefault((q,) + key, prof)
+        return profs[quantity]
 
 
 def _radial_profiles(n: int, alphas: np.ndarray, c_signed: np.ndarray,
-                     r: np.ndarray, quantity: str) -> np.ndarray:
-    """Radial factors of the modes (n, alphas) for one quantity.
+                     r: np.ndarray, quantity: str) -> dict[str, np.ndarray]:
+    """Real radial factors of the modes (n, alphas) for one quantity.
 
-    Returns shape (ncomp, len(alphas), len(r)), normalization included.
-    The velocity of a mode is (i n R(r), T(r)) exp(i n theta) in polar
-    components; every other quantity is built from J_n, R, T and their
-    radial derivatives.
+    Returns {quantity: factors of shape (ncomp, len(alphas), len(r))},
+    normalization included; the gradient also returns the velocity, which
+    it computes on the way.  The velocity of a mode is
+    (i n R(r), T(r)) exp(i n theta) in polar components; every other
+    quantity is built from J_n, R, T and their radial derivatives.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
@@ -122,7 +129,7 @@ def _radial_profiles(n: int, alphas: np.ndarray, c_signed: np.ndarray,
     jn = jn.reshape(K, Q)
     cs = c_signed[:, None]
     if quantity == "vorticity":
-        return (cs * jn)[None, :, :].astype(complex)
+        return {quantity: (cs * jn)[None, :, :]}
     jp = (0.5 * (jm1 - jp1)).reshape(K, Q)
     a = alphas[:, None]
     rr = r[None, :]
@@ -137,36 +144,31 @@ def _radial_profiles(n: int, alphas: np.ndarray, c_signed: np.ndarray,
     else:
         R = Rp = np.zeros((K, Q))
     T = cs * (n * ja * rn1 - a * jp) * inv_a2
-    if quantity == "velocity":
-        prof = np.stack([1j * n * R, T + 0j])
-    elif quantity == "gradient":
+    if quantity == "dtau_utau":
+        return {quantity: (n * T / rr)[None, :, :]}
+    if quantity == "dtau_un":
+        return {quantity: (-(n * n) * R / rr)[None, :, :]}
+    out = {"velocity": np.stack([n * R, T])}
+    if quantity == "gradient":
         # Entries of the polar velocity gradient in the orthonormal frame:
         # [d_r u^r, (1/r) d_th u^r - u^th/r; d_r u^th, (1/r) d_th u^th + u^r/r]
         with np.errstate(divide="ignore", invalid="ignore"):
             xg = a * rr
             jpp = -jp / xg + (n * n / (xg * xg) - 1.0) * jn
         Tp = cs * (n * (n - 1) * ja * rn2 - a * a * jpp) * inv_a2
-        prof = np.stack([
-            1j * n * Rp,
-            (-(n * n) * R - T) / rr + 0j,
-            Tp + 0j,
-            1j * n * (T + R) / rr,
-        ])
-    elif quantity == "dtau_utau":
-        prof = (1j * n * T / rr)[None, :, :]
-    else:  # dtau_un
-        prof = (-(n * n) * R / rr)[None, :, :].astype(complex)
-    return np.ascontiguousarray(prof)
+        out["gradient"] = np.stack([n * Rp, (-(n * n) * R - T) / rr, Tp,
+                                    n * (T + R) / rr])
+    return out
 
 
 def pair_profile(pair: EigenPair, r: np.ndarray, quantity: str) -> np.ndarray:
-    """Radial factor of one mode, shape (ncomp, r.size); not cached.
+    """Real radial factor of one mode, shape (ncomp, r.size); not cached.
 
     Equal to profile_matrix(pair.n, r, quantity)[:, pair.k - 1] up to
     roundoff, without evaluating the rest of the row.
     """
     return _radial_profiles(pair.n, np.array([pair.alpha]), np.array([pair.c_signed]),
-                            np.asarray(r, dtype=float), quantity)[:, 0, :]
+                            np.asarray(r, dtype=float), quantity)[quantity][:, 0, :]
 
 
 def vorticity_eval(pair: EigenPair, r: float, theta: float) -> complex:
@@ -186,7 +188,7 @@ def velocity_eval(pair: EigenPair, r: float, theta: float) -> np.ndarray:
         raise BesselDomainError(f"radius {r} outside [0, 1]")
     n = pair.n
     if r >= _R_LIMIT:
-        u = pair_profile(pair, [r], "velocity")[:, 0]
+        u = pair_profile(pair, [r], "velocity")[:, 0] * PHASES["velocity"]
     elif n == 1:
         ja = 1.0 / (_SQRT_PI * pair.c_signed)
         r0 = pair.c_signed * (0.5 * pair.alpha - ja) / pair.lam
@@ -205,7 +207,7 @@ def velocity_gradient_eval(pair: EigenPair, r: float, theta: float) -> np.ndarra
     """
     if not _R_LIMIT <= r <= 1.0:
         raise BesselDomainError(f"radius {r} outside ({_R_LIMIT}, 1]")
-    grad = pair_profile(pair, [r], "gradient")[:, 0].reshape(2, 2)
+    grad = (pair_profile(pair, [r], "gradient")[:, 0] * PHASES["gradient"]).reshape(2, 2)
     return grad * np.exp(1j * pair.n * theta)
 
 

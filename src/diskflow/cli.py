@@ -190,7 +190,7 @@ def _sweep_point(payload: dict) -> dict:
     """Evaluate one viscosity of a sweep; runs in a worker process."""
     sim_cfg = dict(payload["sim"])
     sim_cfg["nu"] = payload["nu"]
-    sim = _sim_config(sim_cfg, payload["seed"], None)
+    sim = _sim_config(sim_cfg, payload["seed"], Path(payload["base"]))
     schedule = ScheduleSpec(**payload["schedule"])
     basis = stokes_basis(sim.n_theta, sim.n_r)
     out = {"nu": payload["nu"], "values": {}, "error": ""}
@@ -238,8 +238,10 @@ def cmd_sweep(args) -> int:
     sim_cfg = _expect(cfg, "sim", dict, required=True)
     seed = args.seed if args.seed is not None else int(sim_cfg.get("seed", 0))
 
+    # a relative init file is read from the config file's directory
     payloads = [{"nu": float(nu), "kinds": kinds, "sim": sim_cfg,
-                 "schedule": schedule.__dict__, "seed": seed}
+                 "schedule": schedule.__dict__, "seed": seed,
+                 "base": str(Path(args.config).parent)}
                 for nu in nu_list]
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:

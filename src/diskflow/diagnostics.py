@@ -301,7 +301,7 @@ def _mode_layer_mass(basis: StokesBasis, n: int, k: int, deltas: np.ndarray,
     nq = int(max(48, 1.6 * pair.alpha * float(deltas.max()) + 24))
     rules = [_gauss_radial(nq, 1.0 - float(d)) for d in deltas]
     prof = pair_profile(pair, np.concatenate([r for r, _ in rules]), quantity)
-    dens = np.sum(np.abs(prof) ** 2, axis=0).reshape(deltas.size, nq)
+    dens = np.sum(prof ** 2, axis=0).reshape(deltas.size, nq)
     return np.array([2.0 * np.pi * float(np.dot(w, d))
                      for (_, w), d in zip(rules, dens)])
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .basis import QUANTITIES, StokesBasis, pair_profile
+from .basis import PHASES, QUANTITIES, StokesBasis, pair_profile
 from .bessel import jn_trio
 
 _RULE_TOL = 1.0e-11
@@ -190,12 +190,13 @@ def synthesize(coeffs: SpectralCoeffs, grid: PolarGrid, basis: StokesBasis,
     if nt > grid.n_angular // 2 - 1:
         warnings.warn("angular band exceeds grid Nyquist; field will alias")
     ncomp = QUANTITIES[quantity]
+    phase = np.array(PHASES[quantity])[:, None]
     nq = grid.n_radial
     na = grid.n_angular
     spec = np.zeros((ncomp, na // 2 + 1, nq), dtype=complex)
     for n in range(nt + 1):
         prof = basis.profile_matrix(n, grid.r, quantity, k_max=coeffs.n_r)
-        row = np.einsum("k,ckq->cq", coeffs.g[n], prof)
+        row = phase * np.einsum("k,ckq->cq", coeffs.g[n], prof)
         if n == 0:
             row = row.real + 0j
         tgt = n % na
@@ -220,10 +221,10 @@ def project(sample: FieldSample, basis: StokesBasis, n_theta: int,
     g = np.empty((n_theta + 1, n_r), dtype=complex)
     wgt = sample.grid.w
     for n in range(n_theta + 1):
-        # radial profiles are real, so the conjugate in <omega, omega_nk>
-        # only touches the angular factor already handled by the FFT
+        # the vorticity factors are real with phase 1, so the conjugate in
+        # <omega, omega_nk> only touches the angular factor the FFT handled
         prof = basis.profile_matrix(n, sample.grid.r, "vorticity", k_max=n_r)
-        g[n] = 2.0 * np.pi * (prof[0].real * wgt[None, :]) @ chat[n]
+        g[n] = 2.0 * np.pi * (prof[0] * wgt[None, :]) @ chat[n]
     g[0] = g[0].real
     return SpectralCoeffs(g=g, time=0.0)
 
@@ -254,8 +255,10 @@ def norm_sq_series(g: np.ndarray, basis: StokesBasis | None, quantity: str,
         if not np.any(gn):
             continue
         prof = basis.profile_matrix(n, r, quantity, k_max=nr)
-        c = np.einsum("...k,ckq->...cq", gn, prof)
-        out += wr[n] * np.sum(w * np.abs(c) ** 2, axis=(-2, -1))
+        # the phases have unit modulus, so |g . prof|^2 is the sum of the
+        # squares of (Re g) . prof and (Im g) . prof
+        c = np.tensordot(np.stack([gn.real, gn.imag]), prof, axes=(-1, 1))
+        out += wr[n] * np.sum(w * c * c, axis=(0, -2, -1))
     return 2.0 * np.pi * out
 
 
@@ -322,6 +325,6 @@ def mode_inner_product(basis: StokesBasis, mode_a: tuple[int, int],
     pb = pair_profile(pair_b, r, quantity)
     th = 2.0 * np.pi * np.arange(n_angular) / n_angular
     ang = np.sum(np.exp(1j * (m - n) * th)) * (2.0 * np.pi / n_angular)
-    rad = complex(np.sum(w[None, :] * pa * np.conj(pb)))
+    rad = complex(np.sum(w[None, :] * pa * pb))  # real factors; phases cancel
     return ang * rad
 

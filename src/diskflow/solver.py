@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import StokesBasis, stokes_basis
+from .basis import PHASES, StokesBasis, stokes_basis
 from .field import (SpectralCoeffs, _gauss_radial, _reality_weights,
                     norm_sq_series, radial_rule)
 
@@ -120,6 +120,11 @@ def make_initial(name: str, n_theta: int, n_r: int, seed: int = 0,
     return c
 
 
+def _pairs(z: np.ndarray) -> np.ndarray:
+    """Complex z[..., m] viewed as real (Re, Im) pairs, shape (..., m, 2)."""
+    return z.view(np.float64).reshape(*z.shape, 2)
+
+
 class _Engine:
     """Per-run workspace: grids, profiles, and the convective projection."""
 
@@ -132,6 +137,10 @@ class _Engine:
         self.nu = config.nu
         self.lam = basis.lam[: nt + 1, :nr].copy()
         self.wr = _reality_weights(nt)
+        self.linear = config.linear
+        self.forcing = config.forcing
+        if self.linear:  # no convective term: no grid and no profiles
+            return
         alpha_max = float(basis.alpha[: nt + 1, :nr].max())
         na = config.n_angular or max(16, 3 * nt + 4)
         if na % 2:
@@ -142,39 +151,52 @@ class _Engine:
         else:
             # convective projection integrands oscillate at ~3x the band limit
             self.r, self.w = radial_rule(0.0, 1.5 * alpha_max)
-        self.prof_u = [basis.profile_matrix(n, self.r, "velocity", k_max=nr)
-                       for n in range(nt + 1)]
+        # gradient first: its Bessel pass also fills the velocity rows
         self.prof_g = [basis.profile_matrix(n, self.r, "gradient", k_max=nr)
                        for n in range(nt + 1)]
-        self.proj = [np.conj(pu) * self.w[None, None, :] for pu in self.prof_u]
-        self.linear = config.linear
-        self.forcing = config.forcing
+        self.prof_u = [basis.profile_matrix(n, self.r, "velocity", k_max=nr)
+                       for n in range(nt + 1)]
+        # The real factors stacked per n: u^r, u^th and the four gradient
+        # entries as (component * q, k) for synthesis, and the velocity ones
+        # again, weighted, as (k, component * q) for the projection.  Phases
+        # are applied apart.
+        nq = self.r.size
+        stack = np.empty((nt + 1, 6, nq, nr))
+        proj = np.empty((nt + 1, nr, 2, nq))
+        for n in range(nt + 1):
+            stack[n, :2] = self.prof_u[n].swapaxes(1, 2)
+            stack[n, 2:] = self.prof_g[n].swapaxes(1, 2)
+            proj[n] = (self.prof_u[n] * self.w).swapaxes(0, 1)
+        self.stack = stack.reshape(nt + 1, 6 * nq, nr)
+        self.proj_stack = proj.reshape(nt + 1, nr, 2 * nq)
+        self.proj = list(self.proj_stack)  # per-n views
+        self.phase = np.array(PHASES["velocity"] + PHASES["gradient"])[:, None]
 
     def norms(self, g: np.ndarray) -> tuple[float, float]:
         return (float(norm_sq_series(g, self.basis, "velocity")),
                 float(norm_sq_series(g, self.basis, "vorticity")))
 
-    def synthesize(self, g: np.ndarray, prof: list) -> np.ndarray:
-        """Physical components of g on the dealiased grid, per-n profiles prof."""
-        spec = np.zeros((prof[0].shape[0], self.na // 2 + 1, self.r.size),
-                        dtype=complex)
-        for n in range(self.nt + 1):
-            spec[:, n, :] = np.einsum("k,ckq->cq", g[n], prof[n])
-        return np.fft.irfft(spec * self.na, n=self.na, axis=1)
+    def synthesize(self, g: np.ndarray) -> np.ndarray:
+        """Velocity and gradient components of g on the dealiased grid, shape
+        (na, 6, q): one real matmul per n of the stacked factors against the
+        (Re, Im) pairs of g, written straight into the spectrum."""
+        nt, nq = self.nt, self.r.size
+        spec = np.zeros((self.na // 2 + 1, 6, nq), dtype=complex)
+        g = np.ascontiguousarray(g, dtype=complex)
+        np.matmul(self.stack, _pairs(g), out=_pairs(spec[: nt + 1].reshape(nt + 1, -1)))
+        spec[: nt + 1] *= self.phase
+        return np.fft.irfft(spec, n=self.na, axis=0, norm="forward")
 
     def convective(self, g: np.ndarray) -> np.ndarray:
         """Projection of u.grad(u) onto every mode of the truncation."""
         nt, na = self.nt, self.na
-        u = self.synthesize(g, self.prof_u)
-        du = self.synthesize(g, self.prof_g)
+        phys = self.synthesize(g)
         # (u.grad u)_i = u_j grad[i][j] with curvature terms already in grad
-        wr_ = u[0] * du[0] + u[1] * du[1]
-        wt_ = u[0] * du[2] + u[1] * du[3]
-        what = np.fft.rfft(np.stack([wr_, wt_]), axis=1) / na
-        out = np.empty((nt + 1, self.nr), dtype=complex)
-        for n in range(nt + 1):
-            out[n] = 2.0 * np.pi * np.einsum("cq,ckq->k", what[:, n, :], self.proj[n])
-        return out
+        prod = (phys[:, 2:].reshape(na, 2, 2, -1) * phys[:, None, :2]).sum(axis=2)
+        what = np.fft.rfft(prod, axis=0, norm="forward")[: nt + 1]
+        what *= np.conj(self.phase[:2])
+        out = np.matmul(self.proj_stack, _pairs(what.reshape(nt + 1, -1)))
+        return 2.0 * np.pi * (out[..., 0] + 1j * out[..., 1])
 
     def flux(self, g: np.ndarray, h: np.ndarray) -> float:
         """Reality-weighted pairing: the flux <N(g), u> for h = N(g), the
@@ -229,7 +251,7 @@ def default_dt(config: SimConfig, eng: _Engine,
     """Splitting-error cap for the viscous factor plus a convective CFL."""
     dt = 0.25 / (config.nu * float(eng.lam.max()))
     if not config.linear:
-        umax = float(np.abs(eng.synthesize(init.g, eng.prof_u)).max())
+        umax = float(np.abs(eng.synthesize(init.g)[:, :2]).max())
         if umax > 0.0:
             h_min = 1.0 / eng.r.size
             dt = min(dt, 0.5 * h_min / umax)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from diskflow.basis import (QUANTITIES, pair_profile, velocity_eval,
+from diskflow.basis import (PHASES, QUANTITIES, pair_profile, velocity_eval,
                             velocity_gradient_eval, vorticity_eval)
 from diskflow.bessel import BesselDomainError
 from oracles import bisect_zero, series_jn, trapezoid_radial
@@ -236,3 +236,21 @@ def test_pair_profile_matches_profile_matrix_column(basis13, n, quantity):
         assert single.shape == (QUANTITIES[quantity], r.size)
         np.testing.assert_allclose(single, row[:, k - 1], rtol=0,
                                    atol=1e-14 * np.abs(row).max())
+
+
+@pytest.mark.parametrize("quantity", sorted(PHASES))
+def test_profiles_are_real_float64(basis13, quantity):
+    r = np.linspace(0.05, 1.0, 9)
+    row = basis13.profile_matrix(5, r, quantity, k_max=4)
+    single = pair_profile(basis13.pair(5, 2), r, quantity)
+    assert row.dtype == np.float64 and single.dtype == np.float64
+    assert row.shape == (len(PHASES[quantity]), 4, r.size)
+
+
+@pytest.mark.parametrize("n, k, r, th", [(0, 1, 0.3, 0.4), (1, 2, 0.9, 2.2),
+                                         (5, 3, 0.55, 4.1)])
+def test_velocity_eval_is_phase_times_real_factor(basis13, n, k, r, th):
+    p = basis13.pair(n, k)
+    expected = (np.array(PHASES["velocity"]) * pair_profile(p, [r], "velocity")[:, 0]
+                * np.exp(1j * n * th))
+    np.testing.assert_allclose(velocity_eval(p, r, th), expected, rtol=0, atol=1e-15)

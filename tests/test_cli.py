@@ -196,6 +196,27 @@ def test_sweep_is_deterministic(tmp_path):
     assert a == b
 
 
+def test_sweep_reads_relative_init_file_next_to_its_config(tmp_path, monkeypatch):
+    from diskflow.solver import make_initial
+
+    cfgdir = tmp_path / "cfg"
+    cfgdir.mkdir()
+    (cfgdir / "coeffs.json").write_text(
+        json.dumps(make_initial("generic", 3, 3, seed=4).to_dict()))
+    (cfgdir / "sweep.json").write_text(json.dumps({
+        "nu_list": [0.1, 0.05], "kinds": ["K1", "K6", "gap"],
+        "sim": {"t_end": 0.2, "n_theta": 3, "n_r": 3, "dt": 0.01,
+                "init": {"file": "coeffs.json"}, "linear": True},
+    }))
+    monkeypatch.chdir(cfgdir)
+    assert main(["sweep", "--config", "sweep.json", "--out", str(tmp_path / "a")]) == 0
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", str(cfgdir / "sweep.json"),
+                 "--out", str(tmp_path / "b")]) == 0
+    a = (tmp_path / "a" / "diagnostics.csv").read_bytes()
+    assert a == (tmp_path / "b" / "diagnostics.csv").read_bytes()
+
+
 def test_sweep_empty_or_invalid_nu_list(tmp_path):
     for bad in ([], [0.1, 0.2], [-0.1]):
         cfgfile = tmp_path / "bad.json"
