@@ -104,27 +104,28 @@ class StokesBasis:
         hit = self._profile_cache.get((quantity,) + key)
         if hit is not None:
             return hit
-        profs = _radial_profiles(n, self.alpha[n, :k_max], self.c_signed[n, :k_max],
-                                 r, quantity)
+        profs = radial_profiles(n, self.alpha[n, :k_max], self.c_signed[n, :k_max],
+                                r, quantity)
         for q, prof in profs.items():
             self._profile_cache.setdefault((q,) + key, prof)
         return profs[quantity]
 
 
-def _radial_profiles(n: int, alphas: np.ndarray, c_signed: np.ndarray,
-                     r: np.ndarray, quantity: str) -> dict[str, np.ndarray]:
+def radial_profiles(n: int, alphas: np.ndarray, c_signed: np.ndarray,
+                    r: np.ndarray, quantity: str) -> dict[str, np.ndarray]:
     """Real radial factors of the modes (n, alphas) for one quantity.
 
-    Returns {quantity: factors of shape (ncomp, len(alphas), len(r))},
-    normalization included; the gradient also returns the velocity, which
-    it computes on the way.  The velocity of a mode is
-    (i n R(r), T(r)) exp(i n theta) in polar components; every other
-    quantity is built from J_n, R, T and their radial derivatives.
+    The radii r are shared by all modes, shape (Q,), or given per mode,
+    shape (len(alphas), Q).  Returns {quantity: factors of shape
+    (ncomp, len(alphas), Q)}, normalization included; the gradient also
+    returns the velocity, which it computes on the way.  The velocity of a
+    mode is (i n R(r), T(r)) exp(i n theta) in polar components; every
+    other quantity is built from J_n, R, T and their radial derivatives.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
-    K, Q = alphas.size, r.size
-    x = np.multiply.outer(alphas, r).ravel()
+    K, Q = alphas.size, r.shape[-1]
+    x = (alphas[:, None] * r).ravel()
     jm1, jn, jp1 = jn_trio(n, x)
     jn = jn.reshape(K, Q)
     cs = c_signed[:, None]
@@ -132,32 +133,31 @@ def _radial_profiles(n: int, alphas: np.ndarray, c_signed: np.ndarray,
         return {quantity: (cs * jn)[None, :, :]}
     jp = (0.5 * (jm1 - jp1)).reshape(K, Q)
     a = alphas[:, None]
-    rr = r[None, :]
     ja = 1.0 / (_SQRT_PI * cs)  # J_n(alpha), signed
-    rn1 = rr ** (n - 1) if n >= 1 else np.zeros((1, Q))
+    rn1 = r ** (n - 1) if n >= 1 else np.zeros((1, Q))
     # r^(n-2) only ever enters multiplied by (n - 1), so n <= 1 never uses it
-    rn2 = rr ** (n - 2) if n >= 2 else np.zeros((1, Q))
+    rn2 = r ** (n - 2) if n >= 2 else np.zeros((1, Q))
     inv_a2 = 1.0 / (a * a)
     if n >= 1:
-        R = cs * (jn / rr - ja * rn1) * inv_a2
-        Rp = cs * (a * jp / rr - jn / rr ** 2 - (n - 1) * ja * rn2) * inv_a2
+        R = cs * (jn / r - ja * rn1) * inv_a2
+        Rp = cs * (a * jp / r - jn / r ** 2 - (n - 1) * ja * rn2) * inv_a2
     else:
         R = Rp = np.zeros((K, Q))
     T = cs * (n * ja * rn1 - a * jp) * inv_a2
     if quantity == "dtau_utau":
-        return {quantity: (n * T / rr)[None, :, :]}
+        return {quantity: (n * T / r)[None, :, :]}
     if quantity == "dtau_un":
-        return {quantity: (-(n * n) * R / rr)[None, :, :]}
+        return {quantity: (-(n * n) * R / r)[None, :, :]}
     out = {"velocity": np.stack([n * R, T])}
     if quantity == "gradient":
         # Entries of the polar velocity gradient in the orthonormal frame:
         # [d_r u^r, (1/r) d_th u^r - u^th/r; d_r u^th, (1/r) d_th u^th + u^r/r]
         with np.errstate(divide="ignore", invalid="ignore"):
-            xg = a * rr
+            xg = a * r
             jpp = -jp / xg + (n * n / (xg * xg) - 1.0) * jn
         Tp = cs * (n * (n - 1) * ja * rn2 - a * a * jpp) * inv_a2
-        out["gradient"] = np.stack([n * Rp, (-(n * n) * R - T) / rr, Tp,
-                                    n * (T + R) / rr])
+        out["gradient"] = np.stack([n * Rp, (-(n * n) * R - T) / r, Tp,
+                                    n * (T + R) / r])
     return out
 
 
@@ -167,8 +167,8 @@ def pair_profile(pair: EigenPair, r: np.ndarray, quantity: str) -> np.ndarray:
     Equal to profile_matrix(pair.n, r, quantity)[:, pair.k - 1] up to
     roundoff, without evaluating the rest of the row.
     """
-    return _radial_profiles(pair.n, np.array([pair.alpha]), np.array([pair.c_signed]),
-                            np.asarray(r, dtype=float), quantity)[quantity][:, 0, :]
+    return radial_profiles(pair.n, np.array([pair.alpha]), np.array([pair.c_signed]),
+                           np.asarray(r, dtype=float), quantity)[quantity][:, 0, :]
 
 
 def vorticity_eval(pair: EigenPair, r: float, theta: float) -> complex:

@@ -42,21 +42,22 @@ def _check_order(n: int) -> int:
     return int(n)
 
 
-def _miller_select(nmax: int, x: np.ndarray, save: frozenset[int]) -> np.ndarray:
-    """Selected orders of J at each x > 0 via normalized backward recurrence.
+def _miller_select(x: np.ndarray, orders: list[int]) -> np.ndarray:
+    """The sorted distinct orders of J at each x > 0 via normalized backward
+    recurrence; one row per order, shape (len(orders), x.size).
 
     The recurrence J_{m-1} = (2m/x) J_m - J_{m+1} is seeded high above the
     turning point and scaled by the identity J_0 + 2*sum_{m even} J_m = 1.
     Lanes are rescaled on the fly to avoid overflow; the per-order scale is
     tracked so orders stored before a rescale can be corrected at the end.
-    Returns rows 0..nmax with only the saved orders filled in.
     """
     p = x.size
-    top = max(float(nmax), float(x.max()))
+    top = max(float(orders[-1]), float(x.max()))
     m_start = int(np.ceil(top + 14.0 * np.cbrt(top) + 18.0))
 
-    out = np.zeros((nmax + 1, p))
-    oexp = np.zeros((nmax + 1, p), dtype=np.int64)
+    row = {o: i for i, o in enumerate(orders)}
+    out = np.zeros((len(orders), p))
+    oexp = np.zeros((len(orders), p), dtype=np.int64)
     exp = np.zeros(p, dtype=np.int64)
     a = np.zeros(p)           # J_{m+1}
     b = np.full(p, 1e-30)     # J_m
@@ -78,24 +79,23 @@ def _miller_select(nmax: int, x: np.ndarray, save: frozenset[int]) -> np.ndarray
             b *= s
             even_sum *= s
             exp = exp + bigmask
-        if k in save:
-            out[k] = b
-            oexp[k] = exp
+        if k in row:
+            out[row[k]] = b
+            oexp[row[k]] = exp
     norm = b + 2.0 * even_sum  # b now holds J_0 (up to scale)
     with np.errstate(under="ignore"):
-        rows = sorted(save)
-        scale = np.power(_RESCALE_INV, (exp[None, :] - oexp[rows]).astype(float))
-        out[rows] = out[rows] / norm * scale
-    return out
+        scale = np.power(_RESCALE_INV, (exp[None, :] - oexp).astype(float))
+        return out / norm * scale
 
 
-def _series_orders(orders, x: np.ndarray) -> np.ndarray:
-    """Requested orders via the ascending series; valid for small x."""
+def _series_orders(orders: list[int], x: np.ndarray) -> np.ndarray:
+    """The given orders via the ascending series, one row each; valid for
+    small x."""
     q = 0.25 * x * x
-    out = np.zeros((max(orders) + 1, x.size))
+    out = np.zeros((len(orders), x.size))
     with np.errstate(divide="ignore"):
         logx = np.where(x > 0.0, np.log(0.5 * x), -np.inf)
-    for m in orders:
+    for i, m in enumerate(orders):
         if m == 0:
             lead = np.ones_like(x)
         else:
@@ -106,19 +106,21 @@ def _series_orders(orders, x: np.ndarray) -> np.ndarray:
         for t in range(1, 14):
             term = term * (-q) / (t * (m + t))
             acc += term
-        out[m] = acc
+        out[i] = acc
     return out
 
 
-def _jn_orders(nmax: int, x: np.ndarray, orders) -> np.ndarray:
-    save = frozenset(int(o) for o in orders)
-    out = np.empty((nmax + 1, x.size))
+def _jn_orders(x: np.ndarray, orders) -> np.ndarray:
+    """J_m(x) for each m in orders (repeats allowed), shape (len(orders), x.size)."""
+    orders = list(orders)
+    uniq = sorted(set(orders))
+    out = np.empty((len(uniq), x.size))
     small = x <= _SERIES_X_CUT
     if small.any():
-        out[:, small] = _series_orders(sorted(save), x[small])
+        out[:, small] = _series_orders(uniq, x[small])
     if (~small).any():
-        out[:, ~small] = _miller_select(nmax, x[~small], save)
-    return out
+        out[:, ~small] = _miller_select(x[~small], uniq)
+    return out if uniq == orders else out[np.searchsorted(uniq, orders)]
 
 
 def jn_block(nmax: int, x) -> np.ndarray:
@@ -128,7 +130,7 @@ def jn_block(nmax: int, x) -> np.ndarray:
     flat = np.atleast_1d(x).ravel()
     if flat.size and flat.min() < 0.0:
         raise BesselDomainError("argument must be nonnegative")
-    return _jn_orders(nmax, flat, range(nmax + 1)).reshape((nmax + 1,) + x.shape)
+    return _jn_orders(flat, range(nmax + 1)).reshape((nmax + 1,) + x.shape)
 
 
 def jn_trio(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -137,9 +139,8 @@ def jn_trio(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     if x.size and x.min() < 0.0:
         raise BesselDomainError("argument must be nonnegative")
-    blk = _jn_orders(n + 1, x, {max(n - 1, 0), n, n + 1} | ({1} if n == 0 else set()))
-    jm1 = blk[n - 1] if n >= 1 else -blk[1]
-    return jm1, blk[n], blk[n + 1]
+    jm1, jn, jp1 = _jn_orders(x, (abs(n - 1), n, n + 1))
+    return (jm1 if n >= 1 else -jm1), jn, jp1
 
 
 def bessel_j(n: int, x, x_max: float = X_MAX_DEFAULT):
@@ -151,7 +152,7 @@ def bessel_j(n: int, x, x_max: float = X_MAX_DEFAULT):
         raise BesselDomainError(f"argument exceeds configured maximum {x_max}")
     if flat.size and float(flat.min()) < 0.0:
         raise BesselDomainError("argument must be nonnegative")
-    res = _jn_orders(n, flat, {n})[n].reshape(xa.shape)
+    res = _jn_orders(flat, (n,))[0].reshape(xa.shape)
     return float(res) if np.isscalar(x) or xa.ndim == 0 else res
 
 

@@ -199,14 +199,8 @@ def _sweep_point(payload: dict) -> dict:
         if trace.failed:
             raise RuntimeError(trace.message)
         for kind in payload["kinds"]:
-            if kind == "gap":
-                if isinstance(sim.init, SpectralCoeffs):
-                    ref = sim.init
-                else:
-                    from .solver import make_initial
-                    ref = make_initial(sim.init, sim.n_theta, sim.n_r,
-                                       seed=sim.seed, amplitude=sim.amplitude)
-                out["values"][kind] = vv_gap(trace, ref, basis)
+            if kind == "gap":  # sample 0 of the trace is the initial state
+                out["values"][kind] = vv_gap(trace, trace.coeffs_at(0), basis)
             else:
                 out["values"][kind] = condition_functional(
                     trace, kind, schedule, basis)

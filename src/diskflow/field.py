@@ -100,26 +100,17 @@ def build_grid(n_radial, n_angular: int, r_lo: float = 0.0,
     return PolarGrid(r=r, w=w, n_angular=int(n_angular), r_lo=float(r_lo))
 
 
-_radial_rule_cache: dict = {}
-
-
+@lru_cache(maxsize=256)
 def radial_rule(r_lo: float, alpha_max: float, n_start: int = 48) -> tuple[np.ndarray, np.ndarray]:
     """Validated radial-only quadrature rule for mode products up to alpha_max."""
-    key = (round(r_lo, 14), round(float(alpha_max), 6), n_start)
-    hit = _radial_rule_cache.get(key)
-    if hit is not None:
-        return hit
     n = n_start
     for _ in range(10):
         r, w = _gauss_radial(n, r_lo)
         if _resolves(r, w, alpha_max, r_lo):
-            break
+            return r, w
         n *= 2
-    else:
-        raise GridError(f"radial rule not converged for alpha={alpha_max} on "
-                        f"({r_lo}, 1)")
-    _radial_rule_cache[key] = (r, w)
-    return r, w
+    raise GridError(f"radial rule not converged for alpha={alpha_max} on "
+                    f"({r_lo}, 1)")
 
 
 @dataclass

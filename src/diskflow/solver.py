@@ -171,6 +171,11 @@ class _Engine:
         self.proj_stack = proj.reshape(nt + 1, nr, 2 * nq)
         self.proj = list(self.proj_stack)  # per-n views
         self.phase = np.array(PHASES["velocity"] + PHASES["gradient"])[:, None]
+        # Synthesis writes into these on every call: fresh arrays of this
+        # size come from the system allocator and are page-faulted anew each
+        # time the heap is trimmed.  Spectrum rows above nt stay zero.
+        self._spec = np.zeros((na // 2 + 1, 6, nq), dtype=complex)
+        self._phys = np.empty((na, 6, nq))
 
     def norms(self, g: np.ndarray) -> tuple[float, float]:
         return (float(norm_sq_series(g, self.basis, "velocity")),
@@ -179,13 +184,13 @@ class _Engine:
     def synthesize(self, g: np.ndarray) -> np.ndarray:
         """Velocity and gradient components of g on the dealiased grid, shape
         (na, 6, q): one real matmul per n of the stacked factors against the
-        (Re, Im) pairs of g, written straight into the spectrum."""
-        nt, nq = self.nt, self.r.size
-        spec = np.zeros((self.na // 2 + 1, 6, nq), dtype=complex)
+        (Re, Im) pairs of g, written straight into the spectrum.  The result
+        is the engine's buffer, overwritten by the next call."""
+        nt, spec = self.nt, self._spec
         g = np.ascontiguousarray(g, dtype=complex)
         np.matmul(self.stack, _pairs(g), out=_pairs(spec[: nt + 1].reshape(nt + 1, -1)))
         spec[: nt + 1] *= self.phase
-        return np.fft.irfft(spec, n=self.na, axis=0, norm="forward")
+        return np.fft.irfft(spec, n=self.na, axis=0, norm="forward", out=self._phys)
 
     def convective(self, g: np.ndarray) -> np.ndarray:
         """Projection of u.grad(u) onto every mode of the truncation."""

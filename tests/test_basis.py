@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from diskflow.basis import (PHASES, QUANTITIES, pair_profile, velocity_eval,
-                            velocity_gradient_eval, vorticity_eval)
+from diskflow.basis import (PHASES, QUANTITIES, pair_profile, radial_profiles,
+                            velocity_eval, velocity_gradient_eval,
+                            vorticity_eval)
 from diskflow.bessel import BesselDomainError
 from oracles import bisect_zero, series_jn, trapezoid_radial
 
@@ -236,6 +237,21 @@ def test_pair_profile_matches_profile_matrix_column(basis13, n, quantity):
         assert single.shape == (QUANTITIES[quantity], r.size)
         np.testing.assert_allclose(single, row[:, k - 1], rtol=0,
                                    atol=1e-14 * np.abs(row).max())
+
+
+@pytest.mark.parametrize("n", [0, 4])
+@pytest.mark.parametrize("quantity", sorted(PHASES))
+def test_radial_profiles_on_per_mode_radii_match_pair_profile(basis13, n, quantity):
+    kk = np.arange(1, 6)
+    # a different radius grid for every mode, as the layer scans use
+    r = np.linspace(0.2, 1.0, 11)[None, :] ** (kk[:, None] / 3.0)
+    prof = radial_profiles(n, basis13.alpha[n, kk - 1], basis13.c_signed[n, kk - 1],
+                           r, quantity)[quantity]
+    assert prof.shape == (QUANTITIES[quantity], kk.size, r.shape[1])
+    for i, k in enumerate(kk):
+        single = pair_profile(basis13.pair(n, int(k)), r[i], quantity)
+        np.testing.assert_allclose(prof[:, i], single, rtol=0,
+                                   atol=1e-14 * np.abs(prof).max())
 
 
 @pytest.mark.parametrize("quantity", sorted(PHASES))

@@ -323,3 +323,62 @@ def test_exploratory_ratio_bounds_beyond_diagonal(bas, capsys):
             cmax = max(cmax, float(ratio.max()))
     print(f"beyond-diagonal ratio envelope C = {cmax:.4f}")
     assert np.isfinite(cmax)
+
+
+def _per_mode_layer_mass(basis, n, k, deltas, quantity):
+    """Layer masses of one mode, each width on its own Gauss rule."""
+    from diskflow.basis import pair_profile
+    from diskflow.field import _gauss_radial
+
+    pair = basis.pair(n, k)
+    nq = int(max(48, 1.6 * pair.alpha * float(deltas.max()) + 24))
+    rules = [_gauss_radial(nq, 1.0 - float(d)) for d in deltas]
+    prof = pair_profile(pair, np.concatenate([r for r, _ in rules]), quantity)
+    dens = np.sum(prof ** 2, axis=0).reshape(deltas.size, nq)
+    return np.array([2.0 * np.pi * float(np.dot(w, d))
+                     for (_, w), d in zip(rules, dens)])
+
+
+def _per_mode_worst(lemma, basis, n, k):
+    """(param, observed) of the worst sample of mode (n, k), one Bessel
+    evaluation per mode."""
+    from diskflow.bessel import jn_trio
+
+    a, b = basis.alpha[n, k - 1], basis.beta[n, k - 1]
+    ja, a1 = basis.j_at_alpha[n, k - 1], basis.alpha[n, 0]
+    if lemma in ("JRatios", "Jnm1Ratios", "Jnp1Ratios"):
+        x_hi = 1.0 - (1e-7 if lemma == "Jnp1Ratios" else 1e-12)
+        x = np.linspace(b / a + 1e-9, x_hi, 160)
+        if lemma == "Jnp1Ratios":
+            v = np.abs(jn_trio(n + 1, a * x)[1]) / (abs(ja) * n * (1.0 - x))
+        else:
+            v = np.abs(jn_trio(n, a * x)[1 if lemma == "JRatios" else 0] / ja)
+        i = int(np.argmax(v))
+        return x[i], v[i]
+    if lemma == "L2uGammaBoundGeneral":
+        deltas = np.geomspace(0.01, 0.25, 8) * (0.5 / a1)
+        mass = _per_mode_layer_mass(basis, n, k, deltas, "velocity")
+        i = int(np.argmax(mass / deltas**3))
+    else:
+        deltas = (np.geomspace(1e-4, 1.0, 8) / a if lemma == "L2omegaGammaBound"
+                  else np.geomspace(1e-3, 1.0, 8) / (2.0 * np.pi * a1))
+        mass = _per_mode_layer_mass(basis, n, k, deltas, "vorticity")
+        i = int(np.argmin(2.0 * deltas - mass))
+    return deltas[i], mass[i]
+
+
+@pytest.mark.parametrize("lemma", ["JRatios", "Jnp1Ratios", "Jnm1Ratios",
+                                   "L2omegaGammaBound",
+                                   "L2omegaGammaBoundGeneral",
+                                   "L2uGammaBoundGeneral"])
+def test_row_batched_scans_match_per_mode_scans(lemma, bas):
+    rep = verify_lemma(lemma, 8, 8, basis=bas)
+    square = lemma in ("JRatios", "L2omegaGammaBound")
+    modes = {(n, k) for n in range(0 if square else 1, 9)
+             for k in range(1, (8 if square else min(n, 8)) + 1)}
+    assert {(row[0], row[1]) for row in rep.rows} == modes
+    assert len(rep.rows) == len(modes)
+    for n, k, param, observed, _, _ in rep.rows:
+        ref_param, ref_observed = _per_mode_worst(lemma, bas, n, k)
+        assert param == pytest.approx(ref_param, rel=0, abs=1e-12)
+        assert observed == pytest.approx(ref_observed, rel=1e-11, abs=0)

@@ -275,3 +275,11 @@ def test_mode_inner_product_leaves_profile_cache_unchanged(bas):
         mode_inner_product(bas, (3, 2), (5, 7), "velocity", delta=delta)
         mode_inner_product(bas, (1, 4), (1, 4), "vorticity", delta=delta)
     assert len(bas._profile_cache) == before
+
+
+def test_radial_rule_cache_is_bounded(bas):
+    alpha = float(bas.alpha[:5, :5].max())
+    for delta in np.linspace(0.05, 0.95, 300):
+        radial_rule(1.0 - float(delta), alpha)
+    info = radial_rule.cache_info()
+    assert info.maxsize == 256 and info.currsize <= 256
