@@ -162,9 +162,9 @@ class ScheduleSpec:
                 raise ScheduleError("delta(nu)/nu does not increase over the sweep")
 
 
-def _trapz_validated(y: np.ndarray, t: np.ndarray, validate: bool) -> float:
+def _trapz_validated(y: np.ndarray, t: np.ndarray) -> float:
     full = float(np.trapezoid(y, t))
-    if validate and t.size >= 5:
+    if t.size >= 5:
         half = float(np.trapezoid(y[::2], t[::2]))
         scale = max(abs(full), 1e-14)
         if abs(full) > 1e-12 and abs(full - half) > 0.01 * scale:
@@ -175,8 +175,7 @@ def _trapz_validated(y: np.ndarray, t: np.ndarray, validate: bool) -> float:
 
 
 def condition_functional(trace: SimTrace, kind: str, schedule: ScheduleSpec,
-                         basis: StokesBasis, n_radial: int = 48,
-                         validate: bool = True) -> float:
+                         basis: StokesBasis) -> float:
     """One boundary-layer condition functional evaluated on a trace."""
     if kind not in CONDITION_KINDS:
         raise ValueError(f"unknown condition kind {kind!r}; "
@@ -219,9 +218,9 @@ def condition_functional(trace: SimTrace, kind: str, schedule: ScheduleSpec,
     rule = None
     if delta is not None:
         alpha_max = float(basis.alpha[: nt + 1, :nr].max())
-        rule = radial_rule(1.0 - delta, alpha_max, n_radial)
+        rule = radial_rule(1.0 - delta, alpha_max)
     series = norm_sq_series(g, basis, quantity, rule)
-    return weight * _trapz_validated(series, trace.times, validate)
+    return weight * _trapz_validated(series, trace.times)
 
 
 def vv_gap(trace: SimTrace, reference, basis: StokesBasis) -> float:
@@ -309,10 +308,12 @@ def _report(lemma, n_max, k_max, rows, envelope=False, extra=None):
     """Rows sorted by margin; an envelope's constant is minus its worst margin."""
     rows = sorted(rows, key=lambda r: r[5])
     worst = rows[0]
+    # rows within _TOL of the worst tie up to roundoff: report the first (n, k)
+    at = min((r for r in rows if r[5] <= worst[5] + _TOL), key=lambda r: r[:2])
     return LemmaReport(
         lemma=lemma, n_max=n_max, k_max=k_max,
         worst_margin=float(worst[5]),
-        worst_at={"n": worst[0], "k": worst[1], "param": worst[2]},
+        worst_at={"n": at[0], "k": at[1], "param": at[2]},
         passed=None if envelope else bool(worst[5] >= -_TOL),
         constant=-float(worst[5]) if envelope else None,
         extra=extra or {},

@@ -40,10 +40,6 @@ class PolarGrid:
     def theta(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.n_angular) / self.n_angular
 
-    @property
-    def n_radial(self) -> int:
-        return self.r.size
-
     def same_as(self, other: "PolarGrid") -> bool:
         return (self.n_angular == other.n_angular and self.r_lo == other.r_lo
                 and self.r.size == other.r.size and np.array_equal(self.r, other.r))
@@ -172,6 +168,67 @@ def _reality_weights(n_theta: int) -> np.ndarray:
     return w
 
 
+def _pairs(z: np.ndarray) -> np.ndarray:
+    """Complex z[..., m] viewed as real (Re, Im) pairs, shape (..., m, 2)."""
+    return z.view(np.float64).reshape(*z.shape, 2)
+
+
+class Transform:
+    """Between states g[n, k] (n <= nt, k <= nr) and samples on na angles
+    times the radial nodes r (weights w): one real matmul per n of the
+    stacked radial factors, the phases applied apart, and one FFT.
+    Synthesis gives every quantity's components, exact pointwise at any na;
+    projection takes the first quantity back, reading row n at n mod na.
+    """
+
+    def __init__(self, basis: StokesBasis, nt: int, nr: int, r: np.ndarray,
+                 w: np.ndarray, na: int, quantities: tuple[str, ...]):
+        self.nt, self.na = nt, na
+        # synthesis keeps every m-th of m * na angles: row nt is below Nyquist
+        self.m = -(-(2 * nt + 2) // na)
+        # last quantity first: a gradient Bessel pass also fills velocity rows
+        self.rows = {q: [basis.profile_matrix(n, r, q, k_max=nr) for n in range(nt + 1)]
+                     for q in reversed(quantities)}
+        # synthesis factors (component * q, k) and the first quantity's weighted
+        # projection factors (k, component * q), filled per n to bound peak memory
+        self.phase = np.array(sum((PHASES[q] for q in quantities), ()))[:, None]
+        ncomp, nq = self.phase.shape[0], r.size
+        stack = np.empty((nt + 1, ncomp, nq, nr))
+        weighted = np.empty((nt + 1, nr, QUANTITIES[quantities[0]], nq))
+        for n in range(nt + 1):
+            np.concatenate([self.rows[q][n] for q in quantities], out=stack[n].swapaxes(1, 2))
+            weighted[n] = (self.rows[quantities[0]][n] * w).swapaxes(0, 1)
+        self.stack = stack.reshape(nt + 1, ncomp * nq, nr)
+        self.weighted = weighted.reshape(nt + 1, nr, -1)
+        alias = np.arange(nt + 1) % na
+        self._fold = alias > na // 2  # read as the conjugate of na - alias
+        self._alias = np.where(self._fold, na - alias, alias)
+        # reused buffers: fresh ones this size are page-faulted anew whenever
+        # the heap is trimmed.  Spectrum rows above nt stay zero.
+        self._spec = np.zeros((self.m * na // 2 + 1, ncomp, nq), dtype=complex)
+        self._phys = np.empty((self.m * na, ncomp, nq))
+
+    def synthesize(self, g: np.ndarray) -> np.ndarray:
+        """Real samples of g, shape (na, components, q); row 0 is read as
+        real.  The result is a view of a buffer the next call overwrites."""
+        nt, spec = self.nt, self._spec
+        g = np.ascontiguousarray(g, dtype=complex)
+        np.matmul(self.stack, _pairs(g), out=_pairs(spec[: nt + 1].reshape(nt + 1, -1)))
+        spec[: nt + 1] *= self.phase
+        np.fft.irfft(spec, n=self.m * self.na, axis=0, norm="forward", out=self._phys)
+        return self._phys[:: self.m]
+
+    def project(self, vals: np.ndarray) -> np.ndarray:
+        """Mode coefficients (nt+1, nr) of real samples (na, components, q)
+        of the first quantity: the quadrature of <field, mode>."""
+        spec = np.fft.rfft(vals, axis=0, norm="forward")
+        what = spec[self._alias]
+        what[self._fold] = np.conj(what[self._fold])
+        what *= np.conj(self.phase[: what.shape[1]])
+        out = np.matmul(self.weighted, _pairs(what.reshape(self.nt + 1, -1)))
+        return 2.0 * np.pi * (out[..., 0] + 1j * out[..., 1])
+
+
 def synthesize(coeffs: SpectralCoeffs, grid: PolarGrid, basis: StokesBasis,
                quantity: str = "vorticity") -> FieldSample:
     """Real physical field of the coefficient state on the grid."""
@@ -180,42 +237,22 @@ def synthesize(coeffs: SpectralCoeffs, grid: PolarGrid, basis: StokesBasis,
         raise ValueError("coefficient truncation exceeds basis table")
     if nt > grid.n_angular // 2 - 1:
         warnings.warn("angular band exceeds grid Nyquist; field will alias")
-    ncomp = QUANTITIES[quantity]
-    phase = np.array(PHASES[quantity])[:, None]
-    nq = grid.n_radial
-    na = grid.n_angular
-    spec = np.zeros((ncomp, na // 2 + 1, nq), dtype=complex)
-    for n in range(nt + 1):
-        prof = basis.profile_matrix(n, grid.r, quantity, k_max=coeffs.n_r)
-        row = phase * np.einsum("k,ckq->cq", coeffs.g[n], prof)
-        if n == 0:
-            row = row.real + 0j
-        tgt = n % na
-        if tgt > na // 2:  # frequency folds onto its sampled alias
-            tgt = na - tgt
-            row = np.conj(row)
-        spec[:, tgt, :] += row
-    vals = np.fft.irfft(spec * na, n=na, axis=1)
-    return FieldSample(grid=grid, quantity=quantity, values=vals)
+    tf = Transform(basis, nt, coeffs.n_r, grid.r, grid.w, grid.n_angular, (quantity,))
+    return FieldSample(grid, quantity, tf.synthesize(coeffs.g).transpose(1, 0, 2))
 
 
 def project(sample: FieldSample, basis: StokesBasis, n_theta: int,
             n_r: int) -> SpectralCoeffs:
     """Mode coefficients of a vorticity sample on a full-disk grid."""
+    grid = sample.grid
     if sample.quantity != "vorticity":
         raise ValueError("projection is defined for vorticity samples")
-    if sample.grid.r_lo != 0.0:
+    if grid.r_lo != 0.0:
         raise GridError("projection requires a full-disk grid")
-    if n_theta > sample.grid.n_angular // 2 - 1:
+    if n_theta > grid.n_angular // 2 - 1:
         warnings.warn("angular band exceeds grid Nyquist; projection will alias")
-    chat = np.fft.rfft(sample.values[0], axis=0) / sample.grid.n_angular
-    g = np.empty((n_theta + 1, n_r), dtype=complex)
-    wgt = sample.grid.w
-    for n in range(n_theta + 1):
-        # the vorticity factors are real with phase 1, so the conjugate in
-        # <omega, omega_nk> only touches the angular factor the FFT handled
-        prof = basis.profile_matrix(n, sample.grid.r, "vorticity", k_max=n_r)
-        g[n] = 2.0 * np.pi * (prof[0] * wgt[None, :]) @ chat[n]
+    tf = Transform(basis, n_theta, n_r, grid.r, grid.w, grid.n_angular, ("vorticity",))
+    g = tf.project(sample.values.transpose(1, 0, 2))
     g[0] = g[0].real
     return SpectralCoeffs(g=g, time=0.0)
 
@@ -254,7 +291,7 @@ def norm_sq_series(g: np.ndarray, basis: StokesBasis | None, quantity: str,
 
 
 def norm_l2(source, basis: StokesBasis | None = None, quantity: str = "vorticity",
-            delta: float | None = None, n_radial: int = 48) -> float:
+            delta: float | None = None) -> float:
     """Squared L2 norm over the disk (delta=None) or the layer 1-delta < r < 1.
 
     Coefficient input uses the Parseval identities on the full disk for
@@ -265,9 +302,7 @@ def norm_l2(source, basis: StokesBasis | None = None, quantity: str = "vorticity
     if isinstance(source, FieldSample):
         if delta is not None:
             raise ValueError("sample input integrates over its own grid region")
-        s = source.values
-        wth = 2.0 * np.pi / source.grid.n_angular
-        return float(wth * np.sum(source.grid.w[None, None, :] * s * s))
+        return inner_product(source, source).real
     if not isinstance(source, SpectralCoeffs):
         raise TypeError("source must be SpectralCoeffs or FieldSample")
     if basis is None:
@@ -283,7 +318,7 @@ def norm_l2(source, basis: StokesBasis | None = None, quantity: str = "vorticity
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"layer width {delta} outside (0, 1]")
     alpha_max = float(basis.alpha[: source.n_theta + 1, : source.n_r].max())
-    rule = radial_rule(1.0 - delta, alpha_max, n_radial)
+    rule = radial_rule(1.0 - delta, alpha_max)
     return float(norm_sq_series(source.g, basis, quantity, rule))
 
 
@@ -299,8 +334,7 @@ def inner_product(a: FieldSample, b: FieldSample) -> complex:
 
 def mode_inner_product(basis: StokesBasis, mode_a: tuple[int, int],
                        mode_b: tuple[int, int], quantity: str = "vorticity",
-                       delta: float = 1.0, n_angular: int | None = None,
-                       n_radial: int = 64) -> complex:
+                       delta: float = 1.0) -> complex:
     """Inner product of two complex basis modes over a boundary layer.
 
     Integrates the actual complex mode values on a tensor grid, so the
@@ -308,10 +342,9 @@ def mode_inner_product(basis: StokesBasis, mode_a: tuple[int, int],
     numerically rather than assumed.
     """
     (m, j), (n, k) = mode_a, mode_b
-    if n_angular is None:
-        n_angular = 2 * max(m, n) + 4
+    n_angular = 2 * max(m, n) + 4
     pair_a, pair_b = basis.pair(m, j), basis.pair(n, k)
-    r, w = radial_rule(1.0 - delta, max(pair_a.alpha, pair_b.alpha), n_radial)
+    r, w = radial_rule(1.0 - delta, max(pair_a.alpha, pair_b.alpha), 64)
     pa = pair_profile(pair_a, r, quantity)
     pb = pair_profile(pair_b, r, quantity)
     th = 2.0 * np.pi * np.arange(n_angular) / n_angular

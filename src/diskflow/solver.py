@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import PHASES, StokesBasis, stokes_basis
-from .field import (SpectralCoeffs, _gauss_radial, _reality_weights,
-                    norm_sq_series, radial_rule)
+from .basis import StokesBasis, stokes_basis
+from .field import (SpectralCoeffs, Transform, _reality_weights, norm_sq_series,
+                    radial_rule)
 
 
 class SolverInstability(RuntimeError):
@@ -55,8 +55,6 @@ class SimConfig:
     seed: int = 0
     amplitude: float = 0.1
     sample_stride: int = 1
-    n_angular: int | None = None     # dealiased angular count override
-    n_radial: int | None = None      # radial quadrature override
 
     def __post_init__(self):
         if self.nu <= 0.0:
@@ -120,11 +118,6 @@ def make_initial(name: str, n_theta: int, n_r: int, seed: int = 0,
     return c
 
 
-def _pairs(z: np.ndarray) -> np.ndarray:
-    """Complex z[..., m] viewed as real (Re, Im) pairs, shape (..., m, 2)."""
-    return z.view(np.float64).reshape(*z.shape, 2)
-
-
 class _Engine:
     """Per-run workspace: grids, profiles, and the convective projection."""
 
@@ -134,7 +127,6 @@ class _Engine:
             raise ValueError("truncation exceeds basis table")
         self.nt, self.nr = nt, nr
         self.basis = basis
-        self.nu = config.nu
         self.lam = basis.lam[: nt + 1, :nr].copy()
         self.wr = _reality_weights(nt)
         self.linear = config.linear
@@ -142,66 +134,24 @@ class _Engine:
         if self.linear:  # no convective term: no grid and no profiles
             return
         alpha_max = float(basis.alpha[: nt + 1, :nr].max())
-        na = config.n_angular or max(16, 3 * nt + 4)
-        if na % 2:
-            na += 1
-        self.na = na
-        if config.n_radial:
-            self.r, self.w = _gauss_radial(config.n_radial, 0.0)
-        else:
-            # convective projection integrands oscillate at ~3x the band limit
-            self.r, self.w = radial_rule(0.0, 1.5 * alpha_max)
-        # gradient first: its Bessel pass also fills the velocity rows
-        self.prof_g = [basis.profile_matrix(n, self.r, "gradient", k_max=nr)
-                       for n in range(nt + 1)]
-        self.prof_u = [basis.profile_matrix(n, self.r, "velocity", k_max=nr)
-                       for n in range(nt + 1)]
-        # The real factors stacked per n: u^r, u^th and the four gradient
-        # entries as (component * q, k) for synthesis, and the velocity ones
-        # again, weighted, as (k, component * q) for the projection.  Phases
-        # are applied apart.
-        nq = self.r.size
-        stack = np.empty((nt + 1, 6, nq, nr))
-        proj = np.empty((nt + 1, nr, 2, nq))
-        for n in range(nt + 1):
-            stack[n, :2] = self.prof_u[n].swapaxes(1, 2)
-            stack[n, 2:] = self.prof_g[n].swapaxes(1, 2)
-            proj[n] = (self.prof_u[n] * self.w).swapaxes(0, 1)
-        self.stack = stack.reshape(nt + 1, 6 * nq, nr)
-        self.proj_stack = proj.reshape(nt + 1, nr, 2 * nq)
-        self.proj = list(self.proj_stack)  # per-n views
-        self.phase = np.array(PHASES["velocity"] + PHASES["gradient"])[:, None]
-        # Synthesis writes into these on every call: fresh arrays of this
-        # size come from the system allocator and are page-faulted anew each
-        # time the heap is trimmed.  Spectrum rows above nt stay zero.
-        self._spec = np.zeros((na // 2 + 1, 6, nq), dtype=complex)
-        self._phys = np.empty((na, 6, nq))
+        self.na = max(16, 3 * nt + 4 + nt % 2)  # even, dealiases the product
+        # convective projection integrands oscillate at ~3x the band limit
+        self.r, self.w = radial_rule(0.0, 1.5 * alpha_max)
+        self.tf = Transform(basis, nt, nr, self.r, self.w, self.na,
+                            ("velocity", "gradient"))
+        self.prof_u, self.prof_g = self.tf.rows["velocity"], self.tf.rows["gradient"]
+        self.proj = list(self.tf.weighted)  # per-n views
 
     def norms(self, g: np.ndarray) -> tuple[float, float]:
         return (float(norm_sq_series(g, self.basis, "velocity")),
                 float(norm_sq_series(g, self.basis, "vorticity")))
 
-    def synthesize(self, g: np.ndarray) -> np.ndarray:
-        """Velocity and gradient components of g on the dealiased grid, shape
-        (na, 6, q): one real matmul per n of the stacked factors against the
-        (Re, Im) pairs of g, written straight into the spectrum.  The result
-        is the engine's buffer, overwritten by the next call."""
-        nt, spec = self.nt, self._spec
-        g = np.ascontiguousarray(g, dtype=complex)
-        np.matmul(self.stack, _pairs(g), out=_pairs(spec[: nt + 1].reshape(nt + 1, -1)))
-        spec[: nt + 1] *= self.phase
-        return np.fft.irfft(spec, n=self.na, axis=0, norm="forward", out=self._phys)
-
     def convective(self, g: np.ndarray) -> np.ndarray:
         """Projection of u.grad(u) onto every mode of the truncation."""
-        nt, na = self.nt, self.na
-        phys = self.synthesize(g)
+        phys = self.tf.synthesize(g)
         # (u.grad u)_i = u_j grad[i][j] with curvature terms already in grad
-        prod = (phys[:, 2:].reshape(na, 2, 2, -1) * phys[:, None, :2]).sum(axis=2)
-        what = np.fft.rfft(prod, axis=0, norm="forward")[: nt + 1]
-        what *= np.conj(self.phase[:2])
-        out = np.matmul(self.proj_stack, _pairs(what.reshape(nt + 1, -1)))
-        return 2.0 * np.pi * (out[..., 0] + 1j * out[..., 1])
+        prod = (phys[:, 2:].reshape(self.na, 2, 2, -1) * phys[:, None, :2]).sum(axis=2)
+        return self.tf.project(prod)
 
     def flux(self, g: np.ndarray, h: np.ndarray) -> float:
         """Reality-weighted pairing: the flux <N(g), u> for h = N(g), the
@@ -236,9 +186,7 @@ class _Engine:
         return gnew, u2_new, w2_new
 
 
-def nonlinear_coeffs(coeffs: SpectralCoeffs, basis: StokesBasis | None = None,
-                     n_angular: int | None = None,
-                     n_radial: int | None = None) -> np.ndarray:
+def nonlinear_coeffs(coeffs: SpectralCoeffs, basis: StokesBasis | None = None) -> np.ndarray:
     """Projection of u.grad(u) onto every mode of the coefficient state.
 
     The product is formed pointwise on a dealiased tensor grid and projected
@@ -246,8 +194,7 @@ def nonlinear_coeffs(coeffs: SpectralCoeffs, basis: StokesBasis | None = None,
     convective term is a pure gradient.
     """
     basis = basis or stokes_basis(coeffs.n_theta, coeffs.n_r)
-    cfg = SimConfig(nu=1.0, t_end=1.0, n_theta=coeffs.n_theta, n_r=coeffs.n_r,
-                    n_angular=n_angular, n_radial=n_radial)
+    cfg = SimConfig(nu=1.0, t_end=1.0, n_theta=coeffs.n_theta, n_r=coeffs.n_r)
     return _Engine(cfg, basis).convective(coeffs.g)
 
 
@@ -256,7 +203,7 @@ def default_dt(config: SimConfig, eng: _Engine,
     """Splitting-error cap for the viscous factor plus a convective CFL."""
     dt = 0.25 / (config.nu * float(eng.lam.max()))
     if not config.linear:
-        umax = float(np.abs(eng.synthesize(init.g)[:, :2]).max())
+        umax = float(np.abs(eng.tf.synthesize(init.g)[:, :2]).max())
         if umax > 0.0:
             h_min = 1.0 / eng.r.size
             dt = min(dt, 0.5 * h_min / umax)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from diskflow.basis import PHASES, StokesBasis, stokes_basis
-from diskflow.field import SpectralCoeffs, _gauss_radial
-from diskflow.solver import SimConfig, make_initial, nonlinear_coeffs, simulate
+from diskflow.field import SpectralCoeffs
+from diskflow.solver import (SimConfig, _Engine, make_initial, nonlinear_coeffs,
+                             simulate)
 
 
 def complex_profiles(basis, n, r, quantity, nr):
@@ -48,10 +49,9 @@ def test_convective_matches_complex_formula(n, state):
     basis = stokes_basis(n, n)
     g = (make_initial("generic", n, n, seed=3).g if state == "generic"
          else full_band_state(n, seed=n))
-    na, nq = 3 * n + 4, 48
-    r, w = _gauss_radial(nq, 0.0)
-    got = nonlinear_coeffs(SpectralCoeffs(g=g), basis, n_angular=na, n_radial=nq)
-    want = complex_convective(g, basis, na, r, w)
+    eng = _Engine(SimConfig(nu=1.0, t_end=1.0, n_theta=n, n_r=n), basis)
+    got = nonlinear_coeffs(SpectralCoeffs(g=g), basis)
+    want = complex_convective(g, basis, eng.na, eng.r, eng.w)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 

@@ -4,7 +4,7 @@ import pytest
 from diskflow.basis import stokes_basis
 from diskflow.diagnostics import (CONDITION_KINDS, ScheduleError,
                                   ScheduleSpec, TraceResolutionError,
-                                  TruncationSpec, condition_functional,
+                                  TruncationSpec, _report, condition_functional,
                                   residual_trace, truncate, truncate_trace,
                                   verify_lemma, vv_gap)
 from diskflow.field import SpectralCoeffs
@@ -281,6 +281,19 @@ def test_envelope_lemmas_report_constants(lemma, bas):
     rows = list(rep.csv_rows())
     assert rows and {"lemma", "n", "k", "param", "observed", "bound",
                      "margin"} <= set(rows[0])
+
+
+def test_jratios_worst_at_ignores_roundoff(bas):
+    # near x = 1 every ratio is 1 to within roundoff, so the margins of the
+    # whole scan tie; a +-1e-15 reshuffle must not move the reported mode
+    rep = verify_lemma("JRatios", 10, 10, basis=bas)
+    assert (rep.worst_at["n"], rep.worst_at["k"]) == (0, 1)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        rows = [row[:5] + (row[5] + rng.choice([-1e-15, 1e-15]),) for row in rep.rows]
+        again = _report("JRatios", 10, 10, rows)
+        assert again.worst_at == rep.worst_at
+        assert again.worst_margin == min(row[5] for row in rows)
 
 
 def test_zero_difference_example_values(bas):

@@ -1,11 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 import scipy.special as sp
 
 from diskflow.basis import stokes_basis
-from diskflow.field import (GridError, SpectralCoeffs, build_grid,
+from diskflow.field import (FieldSample, GridError, SpectralCoeffs, build_grid,
                             inner_product, mode_inner_product, norm_l2,
                             norm_sq_series, project, radial_rule, synthesize)
 from oracles import trapezoid_radial
@@ -241,6 +242,35 @@ def test_aliasing_warning(bas):
     c = SpectralCoeffs.zeros(6, 2)
     with pytest.warns(UserWarning, match="alias"):
         synthesize(c, grid, bas, "vorticity")
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_aliased_synthesis_is_pointwise(bas, rng, n):
+    # rows at and past the Nyquist bin of an 8-angle grid sample exactly
+    grid = build_grid(32, 8, 0.0)
+    c = SpectralCoeffs.zeros(n, 4)
+    c.g[n] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        got = synthesize(c, grid, bas, "vorticity").values[0]
+    radial = c.g[n] @ bas.profile_matrix(n, grid.r, "vorticity", k_max=4)[0]
+    want = 2.0 * np.real(np.exp(1j * n * grid.theta)[:, None] * radial[None, :])
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_aliased_projection_matches_angular_dft(bas, rng):
+    grid = build_grid(32, 8, 0.0)
+    vals = rng.standard_normal((1, 8, grid.r.size))
+    sample = FieldSample(grid=grid, quantity="vorticity", values=vals)
+    with pytest.warns(UserWarning, match="projection will alias"):
+        got = project(sample, bas, 6, 4).g
+    for n in range(7):
+        chat = np.exp(-1j * n * grid.theta) @ vals[0] / 8
+        prof = bas.profile_matrix(n, grid.r, "vorticity", k_max=4)[0]
+        want = 2.0 * np.pi * prof @ (grid.w * chat)
+        if n == 0:
+            want = want.real
+        assert np.abs(got[n] - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_json_round_trip(rng):
