@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-X_MAX_DEFAULT = 1.0e4
+X_MAX = 1.0e4
 ORDER_MAX = 2048
 
 # Ascending series is used only where its terms decay from the start;
@@ -143,26 +143,26 @@ def jn_trio(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (jm1 if n >= 1 else -jm1), jn, jp1
 
 
-def bessel_j(n: int, x, x_max: float = X_MAX_DEFAULT):
-    """J_n(x) for integer n >= 0 and 0 <= x <= x_max."""
+def bessel_j(n: int, x):
+    """J_n(x) for integer n >= 0 and 0 <= x <= X_MAX."""
     n = _check_order(n)
     xa = np.asarray(x, dtype=float)
     flat = np.atleast_1d(xa).ravel()
-    if flat.size and float(flat.max()) > x_max:
-        raise BesselDomainError(f"argument exceeds configured maximum {x_max}")
+    if flat.size and float(flat.max()) > X_MAX:
+        raise BesselDomainError(f"argument exceeds maximum {X_MAX}")
     if flat.size and float(flat.min()) < 0.0:
         raise BesselDomainError("argument must be nonnegative")
     res = _jn_orders(flat, (n,))[0].reshape(xa.shape)
     return float(res) if np.isscalar(x) or xa.ndim == 0 else res
 
 
-def bessel_j_prime(n: int, x, x_max: float = X_MAX_DEFAULT):
+def bessel_j_prime(n: int, x):
     """dJ_n/dx via the two-neighbor recurrence (J_{n-1} - J_{n+1})/2."""
     n = _check_order(n)
     xa = np.asarray(x, dtype=float)
     flat = np.atleast_1d(xa).ravel()
-    if flat.size and float(flat.max()) > x_max:
-        raise BesselDomainError(f"argument exceeds configured maximum {x_max}")
+    if flat.size and float(flat.max()) > X_MAX:
+        raise BesselDomainError(f"argument exceeds maximum {X_MAX}")
     jm1, _, jp1 = jn_trio(n, flat)
     res = (0.5 * (jm1 - jp1)).reshape(xa.shape)
     return float(res) if np.isscalar(x) or xa.ndim == 0 else res

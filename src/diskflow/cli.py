@@ -1,7 +1,8 @@
 """Command-line entry point: tables, simulations, sweeps, verification.
 
-Every command writes a manifest.json echoing the fully resolved
-configuration next to its outputs, and all CSV/JSON output is
+``main`` creates the output directory, runs one command, writes a
+manifest.json echoing the command's fully resolved configuration next to
+its outputs, and maps errors to exit codes.  All CSV/JSON output is
 deterministic for a fixed config and seed.
 """
 
@@ -53,15 +54,9 @@ def _write_csv(path: Path, header, rows) -> None:
             wr.writerow([_fmt(v) for v in row])
 
 
-def _write_manifest(outdir: Path, command: str, config: dict) -> None:
-    doc = {"command": command, "config": config, "version": __version__}
-    (outdir / "manifest.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def _load_config(args) -> dict:
-    if not args.config:
-        return {}
+    if args.config is None:
+        raise ConfigError(f"{args.command} requires --config")
     p = Path(args.config)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
@@ -85,13 +80,19 @@ def _expect(cfg: dict, key: str, types, default=None, required=False):
     return val
 
 
-def _resolve_init(spec, outbase: Path | None = None):
+def _with_seed(cfg: dict, seed: int | None) -> dict:
+    """cfg with "seed" resolved: the --seed override, else its own, else 0."""
+    return {**cfg, "seed": int(seed if seed is not None
+                               else _expect(cfg, "seed", int, 0))}
+
+
+def _resolve_init(spec, base: Path):
+    """A preset name, or the coefficients of {"file": path}; a relative
+    path is read from the config file's directory."""
     if isinstance(spec, str):
         return spec
-    if isinstance(spec, dict) and "file" in spec:
-        p = Path(spec["file"])
-        if outbase is not None and not p.is_absolute():
-            p = outbase / p
+    if isinstance(spec, dict) and isinstance(spec.get("file"), str):
+        p = base / spec["file"]
         try:
             return SpectralCoeffs.from_dict(json.loads(p.read_text()))
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -100,7 +101,7 @@ def _resolve_init(spec, outbase: Path | None = None):
     raise ConfigError("init must be a preset name or {'file': path}")
 
 
-def _sim_config(cfg: dict, seed_override=None, base: Path | None = None) -> SimConfig:
+def _sim_config(cfg: dict, base: Path) -> SimConfig:
     init = _resolve_init(_expect(cfg, "init", (str, dict), "radial-1"), base)
     dt = _expect(cfg, "dt", (int, float, type(None)), None)  # null: automatic
     return SimConfig(
@@ -111,20 +112,16 @@ def _sim_config(cfg: dict, seed_override=None, base: Path | None = None) -> SimC
         dt=float(dt) if dt is not None else None,
         init=init,
         linear=bool(_expect(cfg, "linear", bool, False)),
-        seed=int(seed_override if seed_override is not None
-                 else _expect(cfg, "seed", int, 0)),
+        seed=int(_expect(cfg, "seed", int, 0)),
         amplitude=float(_expect(cfg, "amplitude", (int, float), 0.1)),
         sample_stride=int(_expect(cfg, "sample_stride", int, 1)),
     )
 
 
-def cmd_zeros(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_zeros(args, outdir: Path) -> tuple[int, dict]:
     n_max, k_max = args.n_max, args.k_max
     if n_max < 0 or k_max < 0:
-        print("zeros: bounds must be nonnegative", file=sys.stderr)
-        return 2
+        raise ConfigError("bounds must be nonnegative")
     rows = []
     if k_max >= 1:
         tab = zero_table(n_max, k_max)
@@ -132,14 +129,11 @@ def cmd_zeros(args) -> int:
             for k in range(1, k_max + 1):
                 rows.append((n, k, tab.zero(n, k)))
     _write_csv(outdir / "zeros.csv", ("n", "k", "zero"), rows)
-    _write_manifest(outdir, "zeros", {"n_max": n_max, "k_max": k_max})
     print(f"wrote {outdir / 'zeros.csv'} ({len(rows)} rows)")
-    return 0
+    return 0, {"n_max": n_max, "k_max": k_max}
 
 
-def cmd_basis(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_basis(args, outdir: Path) -> tuple[int, dict]:
     bas = StokesBasis(args.n_max, args.k_max)
     rows = []
     for n in range(args.n_max + 1):
@@ -148,18 +142,13 @@ def cmd_basis(args) -> int:
             rows.append((n, k, p.lam, p.alpha, p.beta, p.c_norm, p.d_const))
     _write_csv(outdir / "basis.csv",
                ("n", "k", "lambda", "alpha", "beta", "c_norm", "d_const"), rows)
-    _write_manifest(outdir, "basis", {"n_max": args.n_max, "k_max": args.k_max})
     print(f"wrote {outdir / 'basis.csv'} ({len(rows)} rows)")
-    return 0
+    return 0, {"n_max": args.n_max, "k_max": args.k_max}
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    if not cfg:
-        raise ConfigError("simulate requires --config")
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    sim = _sim_config(cfg, args.seed, Path(args.config).parent)
+def cmd_simulate(args, outdir: Path) -> tuple[int, dict]:
+    cfg = _with_seed(_load_config(args), args.seed)
+    sim = _sim_config(cfg, Path(args.config).parent)
     snap_stride = int(_expect(cfg, "snapshot_stride", int, 0))
     trace = simulate(sim)
     rows = [
@@ -178,19 +167,15 @@ def cmd_simulate(args) -> int:
             snaps.append(trace.coeffs_at(trace.n_samples - 1).to_dict())
     (outdir / "snapshots.json").write_text(
         json.dumps({"snapshots": snaps}, sort_keys=True) + "\n")
-    manifest_cfg = dict(cfg)
-    manifest_cfg["seed"] = sim.seed
-    _write_manifest(outdir, "simulate", manifest_cfg)
     status = "FAILED: " + trace.message if trace.failed else "ok"
     print(f"wrote {outdir / 'trace.csv'} ({trace.n_samples} samples) [{status}]")
-    return 1 if trace.failed else 0
+    return (1 if trace.failed else 0), cfg
 
 
 def _sweep_point(payload: dict) -> dict:
     """Evaluate one viscosity of a sweep; runs in a worker process."""
-    sim_cfg = dict(payload["sim"])
-    sim_cfg["nu"] = payload["nu"]
-    sim = _sim_config(sim_cfg, payload["seed"], Path(payload["base"]))
+    sim = _sim_config({**payload["sim"], "nu": payload["nu"]},
+                      Path(payload["base"]))
     schedule = ScheduleSpec(**payload["schedule"])
     basis = stokes_basis(sim.n_theta, sim.n_r)
     out = {"nu": payload["nu"], "values": {}, "error": ""}
@@ -209,12 +194,8 @@ def _sweep_point(payload: dict) -> dict:
     return out
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, outdir: Path) -> tuple[int, dict]:
     cfg = _load_config(args)
-    if not cfg:
-        raise ConfigError("sweep requires --config")
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     nu_list = _expect(cfg, "nu_list", list, required=True)
     if not nu_list or any(not isinstance(v, (int, float)) or v <= 0 for v in nu_list):
         raise ConfigError("nu_list must be a nonempty list of positive numbers")
@@ -226,15 +207,18 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"unknown condition kind {kind!r}; "
                               f"valid: {', '.join(SWEEP_KINDS)}")
     sched_cfg = _expect(cfg, "schedule", dict, {})
-    schedule = ScheduleSpec(**{k: float(v) for k, v in sched_cfg.items()})
+    valid = ScheduleSpec.__dataclass_fields__
+    for key in sched_cfg:
+        if key not in valid:
+            raise ConfigError(f"unknown schedule key {key!r}; valid: {', '.join(valid)}")
+    schedule = ScheduleSpec(**{k: float(_expect(sched_cfg, k, (int, float)))
+                               for k in sched_cfg})
     if len(nu_list) >= 2 and set(kinds) - {"gap", "K1"}:
         schedule.validate_sweep(nu_list)
-    sim_cfg = _expect(cfg, "sim", dict, required=True)
-    seed = args.seed if args.seed is not None else int(sim_cfg.get("seed", 0))
+    sim_cfg = _with_seed(_expect(cfg, "sim", dict, required=True), args.seed)
 
-    # a relative init file is read from the config file's directory
     payloads = [{"nu": float(nu), "kinds": kinds, "sim": sim_cfg,
-                 "schedule": schedule.__dict__, "seed": seed,
+                 "schedule": schedule.__dict__,
                  "base": str(Path(args.config).parent)}
                 for nu in nu_list]
     if args.threads > 1:
@@ -255,25 +239,17 @@ def cmd_sweep(args) -> int:
             rows.append((nu, kind, val, L, M, delta, schedule.c))
     _write_csv(outdir / "diagnostics.csv",
                ("nu", "kind", "value", "L", "M", "delta", "c"), rows)
-    manifest_cfg = dict(cfg)
-    manifest_cfg["seed"] = seed
-    manifest_cfg["schedule"] = schedule.__dict__
-    manifest_cfg["failures"] = failures
-    _write_manifest(outdir, "sweep", manifest_cfg)
     n_ok = len(results) - len(failures)
     print(f"wrote {outdir / 'diagnostics.csv'} ({n_ok}/{len(results)} points ok)")
-    return 0 if n_ok else 2
+    return (0 if n_ok else 2), {**cfg, "sim": sim_cfg, "failures": failures,
+                                "schedule": schedule.__dict__}
 
 
-def cmd_verify(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_verify(args, outdir: Path) -> tuple[int, dict]:
     ids = LEMMA_IDS if args.lemmas == "all" else tuple(args.lemmas.split(","))
     bad = [i for i in ids if i not in LEMMA_IDS]
     if bad:
-        print(f"verify: unknown lemma ids {bad}; valid: {', '.join(LEMMA_IDS)}",
-              file=sys.stderr)
-        return 2
+        raise ConfigError(f"unknown lemma ids {bad}; valid: {', '.join(LEMMA_IDS)}")
     rows = []
     summary = {}
     all_pass = True
@@ -297,9 +273,8 @@ def cmd_verify(args) -> int:
                ("lemma", "n", "k", "param", "observed", "bound", "margin"), rows)
     (outdir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_manifest(outdir, "verify",
-                    {"lemmas": list(ids), "n_max": args.n_max, "k_max": args.k_max})
-    return 0 if all_pass else 1
+    return (0 if all_pass else 1), {"lemmas": list(ids), "n_max": args.n_max,
+                                    "k_max": args.k_max}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,49 +285,49 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, fn, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--threads", type=int, default=1, help="worker count")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("zeros", help="tabulate positive zeros of J_n")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--k-max", type=int, required=True)
-    common(p)
-    p.set_defaults(fn=cmd_zeros)
+    def bounds(p, default=None):
+        for flag in ("--n-max", "--k-max"):
+            p.add_argument(flag, type=int, default=default, required=default is None)
 
-    p = sub.add_parser("basis", help="tabulate eigenvalues and mode constants")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--k-max", type=int, required=True)
-    common(p)
-    p.set_defaults(fn=cmd_basis)
+    def config(p):
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--seed", type=int, help="seed override")
 
-    p = sub.add_parser("simulate", help="run one simulation from a config")
-    common(p)
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("sweep", help="run a viscosity sweep from a config")
-    common(p)
-    p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("verify", help="run the inequality verification suite")
+    bounds(command("zeros", cmd_zeros, "tabulate positive zeros of J_n"))
+    bounds(command("basis", cmd_basis, "tabulate eigenvalues and mode constants"))
+    config(command("simulate", cmd_simulate, "run one simulation from a config"))
+    p = command("sweep", cmd_sweep, "run a viscosity sweep from a config")
+    config(p)
+    p.add_argument("--threads", type=int, default=1, help="worker count")
+    p = command("verify", cmd_verify, "run the inequality verification suite")
     p.add_argument("--lemmas", default="all",
                    help="comma-separated lemma ids or 'all'")
-    p.add_argument("--n-max", type=int, default=50)
-    p.add_argument("--k-max", type=int, default=50)
-    common(p)
-    p.set_defaults(fn=cmd_verify)
+    bounds(p, 50)
+    p.add_argument("--seed", type=int,
+                   help="accepted for a uniform command line; the scans use "
+                        "a fixed internal RNG, so it changes no output")
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    outdir = Path(args.out)
     try:
-        return args.fn(args)
+        outdir.mkdir(parents=True, exist_ok=True)
+        code, config = args.fn(args, outdir)
+        doc = {"command": args.command, "config": config, "version": __version__}
+        (outdir / "manifest.json").write_text(
+            json.dumps(doc, indent=2, sort_keys=True) + "\n")
     except tuple(EXIT_CODES) as exc:
         print(f"diskflow {args.command}: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
+    return code
 
 
 if __name__ == "__main__":

@@ -290,6 +290,8 @@ def verify_lemma(lemma_id: str, n_max: int = 50, k_max: int = 50,
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id {lemma_id!r}; valid: "
                          f"{', '.join(LEMMA_IDS)}")
+    if n_max < 1 or k_max < 1:
+        raise ValueError("n_max and k_max must be >= 1")
     if basis is None and lemma_id not in ("ZeroDifference", "jnkRange",
                                           "UsefulFunctionBound"):
         basis = stokes_basis(n_max, k_max)

@@ -63,6 +63,10 @@ class SimConfig:
             raise ValueError("t_end must be positive")
         if self.n_theta < 0 or self.n_r < 1:
             raise ValueError("truncation must satisfy n_theta >= 0, n_r >= 1")
+        if self.dt is not None and self.dt <= 0.0:
+            raise ValueError("dt must be positive (or None for automatic)")
+        if self.sample_stride < 1:
+            raise ValueError("sample_stride must be >= 1")
 
 
 @dataclass
@@ -211,10 +215,9 @@ def default_dt(config: SimConfig, eng: _Engine,
 
 
 def step(state: SpectralCoeffs, config: SimConfig, dt: float,
-         basis: StokesBasis | None = None, engine: _Engine | None = None) -> SpectralCoeffs:
+         basis: StokesBasis | None = None) -> SpectralCoeffs:
     """One exponential-Heun step of length dt."""
-    basis = basis or stokes_basis(config.n_theta, config.n_r)
-    eng = engine or _Engine(config, basis)
+    eng = _Engine(config, basis or stokes_basis(config.n_theta, config.n_r))
     if state.g.shape != (config.n_theta + 1, config.n_r):
         raise ValueError("state truncation does not match config")
     u2, _ = eng.norms(state.g)

@@ -2,12 +2,15 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diskflow.cli import main
+from diskflow.cli import build_parser, main
 from oracles import bisect_zero, series_jn
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def read_csv(path):
@@ -125,6 +128,77 @@ def test_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert f"cannot read config file {cfgfile}" in err
     assert "Traceback" not in err
+
+
+SIM = {"nu": 0.05, "t_end": 0.1, "n_theta": 2, "n_r": 3, "dt": 0.01,
+       "init": "radial-1", "linear": True}
+SWEEP = {"nu_list": [0.1, 0.05], "kinds": ["K1"],
+         "sim": {"t_end": 0.1, "n_theta": 0, "n_r": 2, "dt": 0.01}}
+
+# id: (argv, config written to --config or None, text the message contains)
+MALFORMED = {
+    "verify-n-max-negative": (["verify", "--n-max", "-1"], None, ">= 1"),
+    "verify-JRatios-k-max-0": (
+        ["verify", "--lemmas", "JRatios", "--k-max", "0"], None, ">= 1"),
+    "verify-Jnp1Ratios-n-max-0": (
+        ["verify", "--lemmas", "Jnp1Ratios", "--n-max", "0"], None, ">= 1"),
+    "verify-SomeL2-n-max-0": (
+        ["verify", "--lemmas", "SomeL2InnerProductsAreZero", "--n-max", "0"],
+        None, ">= 1"),
+    "verify-ZeroDifference-k-max-0": (
+        ["verify", "--lemmas", "ZeroDifference", "--k-max", "0"], None, ">= 1"),
+    "verify-unknown-lemma": (
+        ["verify", "--lemmas", "NoSuchLemma"], None, "NoSuchLemma"),
+    "zeros-k-max-negative": (
+        ["zeros", "--n-max", "1", "--k-max", "-1"], None, "nonnegative"),
+    "simulate-dt-negative": (["simulate"], {**SIM, "dt": -0.5}, "dt must be"),
+    "simulate-dt-zero": (["simulate"], {**SIM, "dt": 0}, "dt must be"),
+    "simulate-sample-stride-0": (
+        ["simulate"], {**SIM, "sample_stride": 0}, "sample_stride"),
+    "simulate-init-file-not-a-string": (
+        ["simulate"], {**SIM, "init": {"file": 5}}, "init must be"),
+    "simulate-empty-config": (["simulate"], {}, "'nu' is required"),
+    "sweep-unknown-schedule-key": (
+        ["sweep"], {**SWEEP, "schedule": {"aa": 0.5}}, "'aa'"),
+    "sweep-null-schedule-value": (
+        ["sweep"], {**SWEEP, "schedule": {"a": None}}, "'a'"),
+}
+
+
+@pytest.mark.parametrize("argv, cfg, reason", MALFORMED.values(),
+                         ids=MALFORMED.keys())
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, cfg,
+                                               reason):
+    if cfg is not None:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(cfg))
+        argv = argv + ["--config", str(cfgfile)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"diskflow {argv[0]}: ") and err.count("\n") == 1
+    assert reason in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command in ("zeros", "basis")
+    for option in ("--config", "--seed", "--threads")
+] + [("simulate", "--threads"), ("verify", "--config"), ("verify", "--threads")])
+def test_unread_options_are_rejected(command, option, capsys):
+    bounds = ["--n-max", "1", "--k-max", "1"] if command in ("zeros", "basis") else []
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, *bounds, option, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+def test_benchmark_argv_parses(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import WORKLOADS, cli_args
+
+    for name, spec in WORKLOADS.items():
+        args = build_parser().parse_args(cli_args(name, tmp_path / name, 3))
+        assert args.command == spec["argv"][0] and args.seed == 3
 
 
 def test_zero_convergence_failure_exits_3(tmp_path, capsys, monkeypatch):
@@ -300,6 +374,29 @@ def test_rerun_from_manifest_reproduces_output(tmp_path):
             == (out2 / "trace.csv").read_bytes())
     assert ((out1 / "snapshots.json").read_bytes()
             == (out2 / "snapshots.json").read_bytes())
+
+
+def test_seeded_sweep_reruns_from_manifest(tmp_path):
+    cfgfile = tmp_path / "sweep.json"
+    cfgfile.write_text(json.dumps({
+        "nu_list": [0.1, 0.05], "kinds": ["K1", "N3", "gap"],
+        "sim": {"t_end": 0.25, "n_theta": 3, "n_r": 3, "dt": 0.005,
+                "init": "generic"}}))
+    out1 = tmp_path / "run1"
+    assert main(["sweep", "--config", str(cfgfile), "--seed", "2",
+                 "--out", str(out1)]) == 0
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert manifest["config"]["sim"]["seed"] == 2
+    assert "seed" not in manifest["config"]
+    cfg2file = tmp_path / "sweep2.json"
+    cfg2file.write_text(json.dumps(manifest["config"]))
+    out2 = tmp_path / "run2"
+    assert main(["sweep", "--config", str(cfg2file), "--out", str(out2)]) == 0
+    out0 = tmp_path / "seed0"
+    assert main(["sweep", "--config", str(cfgfile), "--out", str(out0)]) == 0
+    seeded = (out1 / "diagnostics.csv").read_bytes()
+    assert seeded == (out2 / "diagnostics.csv").read_bytes()
+    assert seeded != (out0 / "diagnostics.csv").read_bytes()
 
 
 def test_readme_sim_config_with_null_dt_reruns_from_manifest(tmp_path):
