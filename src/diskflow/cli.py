@@ -195,6 +195,8 @@ def _sweep_point(payload: dict) -> dict:
 
 
 def cmd_sweep(args, outdir: Path) -> tuple[int, dict]:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     cfg = _load_config(args)
     nu_list = _expect(cfg, "nu_list", list, required=True)
     if not nu_list or any(not isinstance(v, (int, float)) or v <= 0 for v in nu_list):
@@ -216,6 +218,9 @@ def cmd_sweep(args, outdir: Path) -> tuple[int, dict]:
     if len(nu_list) >= 2 and set(kinds) - {"gap", "K1"}:
         schedule.validate_sweep(nu_list)
     sim_cfg = _with_seed(_expect(cfg, "sim", dict, required=True), args.seed)
+    if "nu" in sim_cfg:
+        raise ConfigError("config key 'sim.nu' is not read: a sweep takes its "
+                          "viscosities from nu_list")
 
     payloads = [{"nu": float(nu), "kinds": kinds, "sim": sim_cfg,
                  "schedule": schedule.__dict__,

@@ -380,11 +380,11 @@ def _layer_mass(basis: StokesBasis, n: int, kk: np.ndarray, deltas: np.ndarray,
                 quantity: str) -> np.ndarray:
     """Squared layer norms of the modes (n, kk) for the widths deltas[k, d].
 
-    The whole row takes one Bessel pass; the node count tracks the number
-    of radial oscillations inside the row's widest layer.
+    The whole row takes one Bessel pass, on radial_rule's node count for
+    the row's widest layer and largest wavenumber.
     """
     alphas = basis.alpha[n, kk - 1]
-    nq = int(max(48, np.max(1.6 * alphas * deltas.max(axis=1)) + 24))
+    nq = radial_rule(1.0 - float(deltas.max()), float(alphas.max()))[0].size
     r, w = _gauss_radial(nq, 1.0 - deltas[..., None])
     prof = radial_profiles(n, alphas, basis.c_signed[n, kk - 1],
                            r.reshape(kk.size, -1), quantity)[quantity]

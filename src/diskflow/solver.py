@@ -57,6 +57,10 @@ class SimConfig:
     sample_stride: int = 1
 
     def __post_init__(self):
+        for name in ("nu", "t_end", "dt", "amplitude"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.nu <= 0.0:
             raise ValueError("viscosity must be positive")
         if self.t_end <= 0.0:
@@ -137,10 +141,10 @@ class _Engine:
         self.forcing = config.forcing
         if self.linear:  # no convective term: no grid and no profiles
             return
-        alpha_max = float(basis.alpha[: nt + 1, :nr].max())
         self.na = max(16, 3 * nt + 4 + nt % 2)  # even, dealiases the product
         # convective projection integrands oscillate at ~3x the band limit
-        self.r, self.w = radial_rule(0.0, 1.5 * alpha_max)
+        self.wavenumber = 1.5 * float(basis.alpha[: nt + 1, :nr].max())
+        self.r, self.w = radial_rule(0.0, self.wavenumber)
         self.tf = Transform(basis, nt, nr, self.r, self.w, self.na,
                             ("velocity", "gradient"))
         self.prof_u, self.prof_g = self.tf.rows["velocity"], self.tf.rows["gradient"]
@@ -204,13 +208,12 @@ def nonlinear_coeffs(coeffs: SpectralCoeffs, basis: StokesBasis | None = None) -
 
 def default_dt(config: SimConfig, eng: _Engine,
                init: SpectralCoeffs) -> float:
-    """Splitting-error cap for the viscous factor plus a convective CFL."""
+    """Viscous splitting-error cap plus a CFL on the finest resolved scale."""
     dt = 0.25 / (config.nu * float(eng.lam.max()))
     if not config.linear:
         umax = float(np.abs(eng.tf.synthesize(init.g)[:, :2]).max())
         if umax > 0.0:
-            h_min = 1.0 / eng.r.size
-            dt = min(dt, 0.5 * h_min / umax)
+            dt = min(dt, 0.5 / (eng.wavenumber * umax))
     return min(dt, config.t_end)
 
 

@@ -162,6 +162,15 @@ MALFORMED = {
         ["sweep"], {**SWEEP, "schedule": {"aa": 0.5}}, "'aa'"),
     "sweep-null-schedule-value": (
         ["sweep"], {**SWEEP, "schedule": {"a": None}}, "'a'"),
+    "simulate-t-end-infinite": (
+        ["simulate"], {**SIM, "t_end": float("inf")}, "t_end must be finite"),
+    "simulate-amplitude-nan": (
+        ["simulate"], {**SIM, "init": "generic", "amplitude": float("nan")},
+        "amplitude must be finite"),
+    "simulate-nu-nan": (["simulate"], {**SIM, "nu": float("nan")}, "nu must be finite"),
+    "sweep-threads-0": (["sweep", "--threads", "0"], SWEEP, "--threads"),
+    "sweep-sim-nu": (["sweep"], {**SWEEP, "sim": {**SWEEP["sim"], "nu": 0.3}},
+                     "nu_list"),
 }
 
 

@@ -313,3 +313,44 @@ def test_radial_rule_cache_is_bounded(bas):
         radial_rule(1.0 - float(delta), alpha)
     info = radial_rule.cache_info()
     assert info.maxsize == 256 and info.currsize <= 256
+
+
+@pytest.mark.parametrize("n, nodes", [(8, 48), (16, 73), (24, 100), (32, 132)])
+def test_engine_rule_has_the_fewest_passing_nodes(n, nodes):
+    from diskflow.field import _resolves
+    from diskflow.solver import SimConfig, _Engine
+
+    eng = _Engine(SimConfig(nu=1.0, t_end=1.0, n_theta=n, n_r=n), stokes_basis(n, n))
+    assert eng.r.size == nodes
+    # one node fewer is below the floor of 48 or fails the check
+    assert nodes - 1 < 48 or not _resolves(nodes - 1, eng.wavenumber, 0.0)
+
+
+def test_inner_product_scan_validates_one_rule(monkeypatch):
+    import diskflow.field
+    from diskflow.diagnostics import verify_lemma
+
+    calls = []
+    resolves = diskflow.field._resolves
+    monkeypatch.setattr(diskflow.field, "_resolves",
+                        lambda *a: calls.append(a) or resolves(*a))
+    radial_rule.cache_clear()
+    rep = verify_lemma("SomeL2InnerProductsAreZero", 30, 30)
+    assert rep.passed
+    assert len(calls) <= 10
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.2, float("nan"), 1.5])
+def test_mode_inner_product_rejects_bad_layer_widths(bas, delta):
+    with pytest.raises(ValueError, match="layer width"):
+        mode_inner_product(bas, (3, 2), (5, 7), "velocity", delta=delta)
+
+
+@pytest.mark.parametrize("r_lo, alpha", [(float("nan"), 10.0), (0.0, float("nan")),
+                                         (0.5, float("inf"))])
+def test_radial_rule_rejects_non_finite_input_at_once(r_lo, alpha, monkeypatch):
+    import diskflow.field
+
+    monkeypatch.setattr(diskflow.field, "_resolves", None)  # any check would fail
+    with pytest.raises(GridError, match="finite"):
+        radial_rule(r_lo, alpha)

@@ -1,13 +1,15 @@
-"""Property checks of the spectral transform and the convective kernel over
-drawn truncations and states."""
+"""Property checks of the spectral transform, the convective kernel, the
+truncation masks and the layer quadrature over drawn truncations and states."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diskflow.basis import stokes_basis
-from diskflow.field import (PolarGrid, SpectralCoeffs, build_grid, project,
-                            synthesize)
+from diskflow.diagnostics import TruncationSpec, _apply_mask, truncate
+from diskflow.field import (PolarGrid, SpectralCoeffs, build_grid, norm_l2,
+                            project, synthesize)
 from diskflow.solver import SimConfig, _Engine
 
 BASIS = stokes_basis(8, 8)
@@ -56,3 +58,32 @@ def test_convective_flux_vanishes(case):
     g = draw_state(nt, nr, seed)
     u2, w2 = eng.norms(g)
     assert abs(eng.flux(g, eng.convective(g))) <= 1e-12 * u2 * np.sqrt(w2)
+
+
+specs = st.one_of(
+    st.builds(TruncationSpec.square, st.integers(0, 9)),
+    st.builds(TruncationSpec.tangential, st.integers(0, 9)),
+    st.builds(TruncationSpec.eigenvalue_threshold, st.floats(0.0, 2000.0)),
+    st.tuples(st.integers(0, 9), st.integers(0, 9)).map(
+        lambda b: TruncationSpec.band(min(b), max(b))),
+)
+
+
+@CHECKS
+@given(truncations, specs)
+def test_truncation_is_idempotent_and_residual_completes_it(case, spec):
+    nt, nr, seed = case
+    c = SpectralCoeffs(g=draw_state(nt, nr, seed))
+    once = truncate(c, spec, BASIS)
+    assert np.array_equal(truncate(once, spec, BASIS).g, once.g)
+    assert np.array_equal(once.g + _apply_mask(c.g, spec, keep=False, basis=BASIS), c.g)
+
+
+@CHECKS
+@given(truncations, st.sampled_from(["vorticity", "velocity", "gradient"]))
+def test_full_disk_layer_quadrature_matches_parseval(case, quantity):
+    # the layer norm at delta = 1 runs on radial_rule's count at its floor
+    nt, nr, seed = case
+    c = SpectralCoeffs(g=draw_state(nt, nr, seed))
+    parseval = norm_l2(c, BASIS, quantity)
+    assert norm_l2(c, BASIS, quantity, delta=1.0) == pytest.approx(parseval, rel=1e-12)
