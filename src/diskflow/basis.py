@@ -32,6 +32,27 @@ PHASES = {
 QUANTITIES = {q: len(ph) for q, ph in PHASES.items()}
 
 
+class LRUCache(dict):
+    """A dict of at most maxsize entries: get() marks an entry as used, and
+    a new entry drops the least recently used.  The default bound is above
+    the rows one run uses (135 profile rows in the benchmark sweep)."""
+
+    def __init__(self, maxsize: int = 256):
+        super().__init__()
+        self.maxsize = maxsize
+
+    def get(self, key, default=None):
+        if key in self:
+            self[key] = self.pop(key)
+        return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        self.pop(key, None)
+        super().__setitem__(key, value)
+        if len(self) > self.maxsize:
+            del self[next(iter(self))]
+
+
 @dataclass(frozen=True)
 class EigenPair:
     """One Stokes mode: indices, eigenvalue, zeros, and scale constants."""
@@ -67,7 +88,8 @@ class StokesBasis:
         ns = np.arange(n_max + 1, dtype=float)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             self.d_const = np.where(ns >= 1, -self.lam * self.j_at_alpha / ns, np.nan)
-        self._profile_cache: dict = {}
+        self._profile_cache = LRUCache()
+        self._gram_cache = LRUCache()  # filled by field.gram
 
     def _check(self, n: int, k: int) -> None:
         if not (0 <= n <= self.n_max):
@@ -95,8 +117,8 @@ class StokesBasis:
         Returns a real array of shape (ncomp, k_max, r.size) such that
         component c of the quantity of mode (n, k) at (r, theta) is
         PHASES[quantity][c] * profile[c, k-1, :] * exp(i n theta).  Rows are
-        cached per (n, quantity, k_max, r); a gradient row also caches the
-        velocity row of its Bessel pass.
+        cached per (n, quantity, k_max, r), least recently used dropped first;
+        a gradient row also caches the velocity row of its Bessel pass.
         """
         k_max = self.k_max if k_max is None else k_max
         self._check(n, max(k_max, 1))
@@ -107,7 +129,7 @@ class StokesBasis:
         profs = radial_profiles(n, self.alpha[n, :k_max], self.c_signed[n, :k_max],
                                 r, quantity)
         for q, prof in profs.items():
-            self._profile_cache.setdefault((q,) + key, prof)
+            self._profile_cache[(q,) + key] = prof
         return profs[quantity]
 
 

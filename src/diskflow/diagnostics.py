@@ -28,8 +28,8 @@ import numpy as np
 
 from .basis import StokesBasis, radial_profiles, stokes_basis
 from .bessel import compound_decay, jn_trio, zero_table
-from .field import (SpectralCoeffs, _gauss_radial, mode_inner_product,
-                    norm_sq_series, radial_rule)
+from .field import (SpectralCoeffs, _gauss_radial, _reality_weights, gram,
+                    mode_inner_product, norm_sq_series, radial_rule)
 from .solver import SimTrace
 
 CONDITION_KINDS = ("K1", "K2", "K3", "K4", "K5", "K6",
@@ -122,6 +122,9 @@ class ScheduleSpec:
     c: float = 1.0
 
     def __post_init__(self):
+        for name in ("a", "b", "gamma", "c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ScheduleError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.a < 1.0:
             raise ScheduleError(f"exponent a={self.a} outside (0, 1)")
         if self.b <= 1.0:
@@ -160,18 +163,6 @@ class ScheduleSpec:
                 raise ScheduleError("delta(nu) does not decrease over the sweep")
             if self.delta(nus[-1]) / nus[-1] <= self.delta(nus[0]) / nus[0]:
                 raise ScheduleError("delta(nu)/nu does not increase over the sweep")
-
-
-def _trapz_validated(y: np.ndarray, t: np.ndarray) -> float:
-    full = float(np.trapezoid(y, t))
-    if t.size >= 5:
-        half = float(np.trapezoid(y[::2], t[::2]))
-        scale = max(abs(full), 1e-14)
-        if abs(full) > 1e-12 and abs(full - half) > 0.01 * scale:
-            raise TraceResolutionError(
-                f"time integral changes by {abs(full - half) / scale:.1%} "
-                "under sample halving; record a denser trace")
-    return full
 
 
 def condition_functional(trace: SimTrace, kind: str, schedule: ScheduleSpec,
@@ -214,13 +205,29 @@ def condition_functional(trace: SimTrace, kind: str, schedule: ScheduleSpec,
         "N7": (1.0 / nu, "velocity", thin, band),
     }
     weight, quantity, delta, trunc = table[kind]
-    g = trace.g if trunc is None else _apply_mask(trace.g, *trunc)
     rule = None
     if delta is not None:
         alpha_max = float(basis.alpha[: nt + 1, :nr].max())
         rule = radial_rule(1.0 - delta, alpha_max)
-    series = norm_sq_series(g, basis, quantity, rule)
-    return weight * _trapz_validated(series, trace.times)
+    # the time integral of the squared norm is Gram x moments, row by row,
+    # on the moments masked to the kept modes; the Parseval Gram is I
+    moments = trace.moments
+    if trunc is not None:
+        keep = _apply_mask(np.ones((nt + 1, nr)), *trunc)  # 1 on the kept modes
+        moments = moments * keep[:, :, None] * keep[:, None, :]
+    wr = _reality_weights(nt)
+    value = np.zeros(2)  # over all samples and over the halved trace
+    for n in range(nt + 1):
+        if np.any(moments[0, n]):
+            gn = np.eye(nr) if rule is None else gram(basis, n, quantity, rule, nr)
+            value += wr[n] * np.sum(gn * moments[:, n], axis=(1, 2))
+    full, half = value
+    scale = max(abs(full), 1e-14)
+    if trace.n_samples >= 5 and abs(full) > 1e-12 and abs(full - half) > 0.01 * scale:
+        raise TraceResolutionError(
+            f"time integral changes by {abs(full - half) / scale:.1%} "
+            "under sample halving; record a denser trace")
+    return weight * float(full)
 
 
 def vv_gap(trace: SimTrace, reference, basis: StokesBasis) -> float:

@@ -259,15 +259,31 @@ def project(sample: FieldSample, basis: StokesBasis, n_theta: int,
     return SpectralCoeffs(g=g, time=0.0)
 
 
+def gram(basis: StokesBasis, n: int, quantity: str,
+         rule: tuple[np.ndarray, np.ndarray], k_max: int) -> np.ndarray:
+    """Gram matrix 2 pi sum_c P_c diag(w) P_c^T of the real radial factors P
+    of the modes (n, 1..k_max) on the radial rule (r, w): row n of a state
+    adds Re(conj(g_n) . G . g_n), doubled for n >= 1, to the squared norm
+    over the rule's annulus.  Cached on the basis per (n, quantity, rule)."""
+    r, w = rule
+    key = (n, quantity, k_max, r.size, hash(r.tobytes()), hash(w.tobytes()))
+    g = basis._gram_cache.get(key)
+    if g is None:
+        prof = basis.profile_matrix(n, r, quantity, k_max=k_max)
+        g = basis._gram_cache[key] = 2.0 * np.pi * np.tensordot(
+            prof * w, prof, axes=([0, 2], [0, 2]))
+    return g
+
+
 def norm_sq_series(g: np.ndarray, basis: StokesBasis | None, quantity: str,
                    rule: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Squared L2 norms of the coefficient states g[..., n, k].
 
     With rule=None this is the Parseval sum over the whole disk (vorticity,
     gradient, velocity); with a radial rule (r, w) on (r_lo, 1) it is the
-    per-angular-mode quadrature over the annulus r_lo < r < 1.  Leading
-    axes of g are kept, so a stack of states gives one norm per state.  The
-    vorticity and gradient Parseval sums need no basis.
+    quadrature over the annulus r_lo < r < 1, one Gram matrix per angular
+    row.  Leading axes of g are kept, so a stack of states gives one norm
+    per state.  The vorticity and gradient Parseval sums need no basis.
     """
     nt, nr = g.shape[-2] - 1, g.shape[-1]
     wr = _reality_weights(nt)
@@ -278,18 +294,14 @@ def norm_sq_series(g: np.ndarray, basis: StokesBasis | None, quantity: str,
         if quantity == "velocity":
             mag = mag / basis.lam[: nt + 1, :nr]
         return np.sum(mag, axis=(-2, -1))
-    r, w = rule
     out = np.zeros(g.shape[:-2])
     for n in range(nt + 1):
         gn = g[..., n, :]
-        if not np.any(gn):
-            continue
-        prof = basis.profile_matrix(n, r, quantity, k_max=nr)
-        # the phases have unit modulus, so |g . prof|^2 is the sum of the
-        # squares of (Re g) . prof and (Im g) . prof
-        c = np.tensordot(np.stack([gn.real, gn.imag]), prof, axes=(-1, 1))
-        out += wr[n] * np.sum(w * c * c, axis=(0, -2, -1))
-    return 2.0 * np.pi * out
+        if np.any(gn):
+            parts = np.stack([gn.real, gn.imag])
+            out += wr[n] * np.sum((parts @ gram(basis, n, quantity, rule, nr)) * parts,
+                                  axis=(0, -1))
+    return out
 
 
 def norm_l2(source, basis: StokesBasis | None = None, quantity: str = "vorticity",

@@ -10,13 +10,18 @@ roundoff.  The convective product is formed pointwise on a dealiased grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .basis import StokesBasis, stokes_basis
 from .field import (SpectralCoeffs, Transform, _reality_weights, norm_sq_series,
                     radial_rule)
+
+
+# steps per block of an unforced linear run: bounds its work arrays
+_BLOCK = 256
 
 
 class SolverInstability(RuntimeError):
@@ -95,12 +100,25 @@ class SimTrace:
     def coeffs_at(self, i: int) -> SpectralCoeffs:
         return SpectralCoeffs(g=self.g[i].copy(), time=float(self.times[i]))
 
+    @cached_property
+    def moments(self) -> np.ndarray:
+        """Time moments H[w, n] = Re(g_n^H diag(c_w) g_n), shape (2,
+        n_theta+1, n_r, n_r), with c_0 the trapezoid weights of the samples
+        and c_1 those of every second sample (the halved trace): the time
+        integral of a squared norm is linear in H.  Formed once per trace;
+        all-zero rows of g give zero rows."""
+        c = np.zeros((2, 1, self.n_samples))
+        for w, t in enumerate((self.times, self.times[::2])):
+            c[w, 0, :: w + 1] = 0.5 * (np.diff(t, prepend=t[0]) + np.diff(t, append=t[-1]))
+        out = np.zeros((2, self.g.shape[1], self.g.shape[2], self.g.shape[2]))
+        for n, gn in enumerate(self.g.swapaxes(0, 1)):
+            if np.any(gn):
+                out[:, n] = (np.conj(gn.T) * c @ gn).real
+        return out
+
     def with_coeffs(self, gnew: np.ndarray) -> "SimTrace":
         """Same sampling, different coefficient history (for truncations)."""
-        return SimTrace(nu=self.nu, times=self.times, g=gnew,
-                        u_norm_sq=self.u_norm_sq, w_norm_sq=self.w_norm_sq,
-                        visc_cum=self.visc_cum, energy_in=self.energy_in,
-                        flux=self.flux, failed=self.failed, message=self.message)
+        return replace(self, g=gnew)
 
 
 def make_initial(name: str, n_theta: int, n_r: int, seed: int = 0,
@@ -233,8 +251,7 @@ def step(state: SpectralCoeffs, config: SimConfig, dt: float,
 def exact_linear_solution(init: SpectralCoeffs, basis: StokesBasis, nu: float,
                           t: float) -> SpectralCoeffs:
     """Unforced linear (Stokes) solution: every mode decays as exp(-nu lam t)."""
-    lam = basis.lam[: init.n_theta + 1, : init.n_r]
-    return SpectralCoeffs(g=init.g * np.exp(-nu * lam * t), time=init.time + t)
+    return SpectralCoeffs(g=linear_trace(init, basis, nu, [t]).g[0], time=init.time + t)
 
 
 def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
@@ -252,6 +269,40 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
     dt = config.dt or default_dt(config, eng, state)
     n_steps = max(1, int(np.ceil(config.t_end / dt - 1e-12)))
     dt = config.t_end / n_steps
+    decay = np.exp(-config.nu * eng.lam * dt)
+    # Per-step viscous dissipation uses the exact exponential profile of each
+    # mode (averaged forward/backward), not the trapezoid rule: the fast
+    # modes decay on scales well below any reasonable dt.
+    fwd_w = (1.0 - decay**2) / eng.lam
+    bwd_w = fwd_w / decay**2
+    if config.linear and config.forcing is None:
+        # An unforced Heun step is exactly decay * g: state i is the running
+        # product of the initial state and i factors, taken in step order
+        # (the loop's states, times and norms bit for bit) in blocks of
+        # steps, so memory follows the samples kept; the norm only shrinks,
+        # so no step can fail.
+        keep = np.r_[0:n_steps:config.sample_stride, n_steps]
+        g = np.empty((keep.size,) + state.g.shape, dtype=complex)
+        g[0] = state.g
+        fwd, bwd = (eng.wr[:, None] * fwd_w).ravel(), (eng.wr[:, None] * bwd_w).ravel()
+        steps = np.empty(n_steps)  # the loop's per-step dissipation
+        run = np.empty((min(_BLOCK, n_steps) + 1,) + state.g.shape, dtype=complex)
+        run[0] = state.g
+        run[0, 0].imag = 0.0  # the loop keeps row 0 real from the first step on
+        for lo in range(0, n_steps, _BLOCK):
+            m = min(_BLOCK, n_steps - lo)
+            run[1:m + 1] = decay
+            np.multiply.accumulate(run[:m + 1], axis=0, out=run[:m + 1])
+            mag = np.abs(run[:m + 1]).reshape(m + 1, -1) ** 2
+            if lo == 0:  # the first step dissipates the state as given
+                mag[0] = np.abs(state.g).ravel() ** 2
+            steps[lo:lo + m] = 0.5 * (mag[:-1] @ fwd + mag[1:] @ bwd)
+            new = (keep > lo) & (keep <= lo + m)
+            g[new] = run[keep[new] - lo]
+            run[0] = run[m]
+        times = np.cumsum(np.r_[0.0, np.full(n_steps, dt)])[keep]
+        visc = np.r_[0.0, np.cumsum(steps)][keep]
+        return _unforced_trace(config.nu, times, g, basis, visc)
 
     times, gs, u2s, w2s, viscs, eins, fluxes = [], [], [], [], [], [], []
     u2, w2 = eng.norms(state.g)
@@ -272,12 +323,6 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
     record()
     failed = False
     message = ""
-    decay = np.exp(-config.nu * eng.lam * dt)
-    # Per-step viscous dissipation uses the exact exponential profile of each
-    # mode (averaged forward/backward), not the trapezoid rule: the fast
-    # modes decay on scales well below any reasonable dt.
-    fwd_w = (1.0 - decay**2) / eng.lam
-    bwd_w = fwd_w / decay**2
     try:
         for i in range(1, n_steps + 1):
             t = state.time
@@ -313,18 +358,25 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
     )
 
 
+def _unforced_trace(nu: float, times: np.ndarray, g: np.ndarray,
+                    basis: StokesBasis, visc: np.ndarray) -> SimTrace:
+    """Trace of the unforced linear history g sampled at times: the norms of
+    all samples from one batched call each, no energy input and no flux."""
+    zero = np.zeros(times.size)
+    return SimTrace(nu=nu, times=times, g=g,
+                    u_norm_sq=norm_sq_series(g, basis, "velocity"),
+                    w_norm_sq=norm_sq_series(g, basis, "vorticity"),
+                    visc_cum=visc, energy_in=zero, flux=zero)
+
+
 def linear_trace(init: SpectralCoeffs, basis: StokesBasis, nu: float,
                  times: np.ndarray) -> SimTrace:
     """Closed-form unforced linear trace sampled at the given times."""
     times = np.asarray(times, dtype=float)
     lam = basis.lam[: init.n_theta + 1, : init.n_r]
     wr = _reality_weights(init.n_theta)[:, None]
-    g = init.g[None, :, :] * np.exp(-nu * times[:, None, None] * lam[None, :, :])
-    w2 = norm_sq_series(g, basis, "vorticity")
-    u2 = norm_sq_series(g, basis, "velocity")
-    mag0 = np.abs(init.g) ** 2
-    visc = np.array([float(np.sum(
-        wr * mag0 * (1.0 - np.exp(-2.0 * nu * lam * t)) / lam)) for t in times])
-    zero = np.zeros_like(w2)
-    return SimTrace(nu=nu, times=times, g=g, u_norm_sq=u2, w_norm_sq=w2,
-                    visc_cum=visc, energy_in=zero, flux=zero)
+    t = times[:, None, None]
+    g = init.g * np.exp(-nu * t * lam)
+    visc = np.sum(wr * np.abs(init.g) ** 2 * (1.0 - np.exp(-2.0 * nu * lam * t)) / lam,
+                  axis=(1, 2))
+    return _unforced_trace(nu, times, g, basis, visc)

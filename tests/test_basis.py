@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from diskflow.basis import (PHASES, QUANTITIES, pair_profile, radial_profiles,
-                            velocity_eval, velocity_gradient_eval,
-                            vorticity_eval)
+from diskflow.basis import (PHASES, QUANTITIES, LRUCache, StokesBasis, pair_profile,
+                            radial_profiles, velocity_eval,
+                            velocity_gradient_eval, vorticity_eval)
 from diskflow.bessel import BesselDomainError
 from oracles import bisect_zero, series_jn, trapezoid_radial
 
@@ -270,3 +270,28 @@ def test_velocity_eval_is_phase_times_real_factor(basis13, n, k, r, th):
     expected = (np.array(PHASES["velocity"]) * pair_profile(p, [r], "velocity")[:, 0]
                 * np.exp(1j * n * th))
     np.testing.assert_allclose(velocity_eval(p, r, th), expected, rtol=0, atol=1e-15)
+
+
+def test_lru_cache_evicts_least_recently_used():
+    cache = LRUCache(2)
+    cache["a"], cache["b"] = 1, 2
+    assert cache.get("a") == 1  # "b" is now the least recently used
+    cache["c"] = 3
+    assert isinstance(cache, dict) and dict(cache) == {"a": 1, "c": 3}
+    assert cache.get("b") is None
+
+
+def test_profile_and_gram_caches_are_bounded():
+    from diskflow.field import gram, radial_rule
+
+    bas = StokesBasis(8, 4)
+    bas._profile_cache.maxsize = bas._gram_cache.maxsize = 3
+    rule = radial_rule(0.9, float(bas.alpha.max()))
+    for n in range(6):
+        row = bas.profile_matrix(n, rule[0], "vorticity")
+        assert bas.profile_matrix(n, rule[0], "vorticity") is row  # a hit
+        gram(bas, n, "dtau_un", rule, 4)
+    assert len(bas._profile_cache) == len(bas._gram_cache) == 3
+    assert {key[:2] for key in bas._profile_cache} == {
+        ("dtau_un", 4), ("vorticity", 5), ("dtau_un", 5)}
+    assert {key[0] for key in bas._gram_cache} == {3, 4, 5}

@@ -171,6 +171,14 @@ MALFORMED = {
     "sweep-threads-0": (["sweep", "--threads", "0"], SWEEP, "--threads"),
     "sweep-sim-nu": (["sweep"], {**SWEEP, "sim": {**SWEEP["sim"], "nu": 0.3}},
                      "nu_list"),
+    "sweep-schedule-c-nan": (
+        ["sweep"], {**SWEEP, "schedule": {"c": float("nan")}}, "c must be finite"),
+    "sweep-schedule-c-infinite": (
+        ["sweep"], {**SWEEP, "schedule": {"c": float("inf")}}, "c must be finite"),
+    "sweep-schedule-b-nan": (
+        ["sweep"], {**SWEEP, "schedule": {"b": float("nan")}}, "b must be finite"),
+    "sweep-schedule-b-infinite": (
+        ["sweep"], {**SWEEP, "schedule": {"b": float("inf")}}, "b must be finite"),
 }
 
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from diskflow.basis import stokes_basis
+from diskflow.basis import StokesBasis, stokes_basis
 from diskflow.diagnostics import (CONDITION_KINDS, ScheduleError,
                                   ScheduleSpec, TraceResolutionError,
                                   TruncationSpec, _report, condition_functional,
                                   residual_trace, truncate, truncate_trace,
                                   verify_lemma, vv_gap)
-from diskflow.field import SpectralCoeffs
+from diskflow.field import SpectralCoeffs, _reality_weights, norm_sq_series, radial_rule
 from diskflow.solver import linear_trace, make_initial
 
 
@@ -395,3 +395,76 @@ def test_row_batched_scans_match_per_mode_scans(lemma, bas):
         ref_param, ref_observed = _per_mode_worst(lemma, bas, n, k)
         assert param == pytest.approx(ref_param, rel=0, abs=1e-12)
         assert observed == pytest.approx(ref_observed, rel=1e-11, abs=0)
+
+
+def _layer_norms_by_quadrature(g, basis, quantity, delta):
+    """Squared norms of the states g[s] over the layer of width delta (the
+    whole disk by Parseval for delta=None), summed point by point."""
+    nt, nr = g.shape[1] - 1, g.shape[2]
+    wr = _reality_weights(nt)
+    if delta is None:
+        return np.sum(wr[:, None] * np.abs(g) ** 2, axis=(1, 2))
+    r, w = radial_rule(1.0 - delta, float(basis.alpha[: nt + 1, :nr].max()))
+    out = np.zeros(g.shape[0])
+    for n in range(nt + 1):
+        vals = g[:, n, :] @ basis.profile_matrix(n, r, quantity, k_max=nr)  # (c, s, q)
+        out += 2.0 * np.pi * wr[n] * np.sum(w * np.abs(vals) ** 2, axis=(0, 2))
+    return out
+
+
+def test_every_kind_matches_per_sample_quadrature(sched):
+    # random full-band state: every row, mode and truncation is populated
+    nu, nt = 0.05, 8
+    bas = stokes_basis(nt, nt)
+    rng = np.random.default_rng(11)
+    g0 = rng.standard_normal((nt + 1, nt)) + 1j * rng.standard_normal((nt + 1, nt))
+    g0[0] = g0[0].real
+    tr = linear_trace(SpectralCoeffs(g=g0), bas, nu, graded_times(1.0, 801))
+    L, M = sched.L(nu), sched.M(nu)
+    wide, Ld = sched.delta(nu), sched.L(sched.delta(nu))
+    # kind: (weight, quantity, layer width, modes kept)
+    band = TruncationSpec.band(L, M).mask(nt, nt)
+    sq_res = ~TruncationSpec.square(L).mask(nt, nt)
+    tan_res = ~TruncationSpec.tangential(L).mask(nt, nt)
+    tan_res_d = ~TruncationSpec.tangential(Ld).mask(nt, nt)
+    every = np.ones((nt + 1, nt), dtype=bool)
+    table = {
+        "K1": (nu, "vorticity", None, every), "K2": (nu, "vorticity", nu, every),
+        "K3": (nu, "gradient", nu, every), "K4": (nu, "dtau_utau", wide, every),
+        "K5": (nu, "dtau_un", wide, every), "K6": (1 / nu, "velocity", nu, every),
+        "N1": (nu, "vorticity", None, band), "N2": (nu, "vorticity", None, tan_res),
+        "N3": (nu, "vorticity", nu, sq_res), "N4": (nu, "gradient", nu, band),
+        "N5": (nu, "dtau_utau", wide, tan_res_d), "N6": (nu, "dtau_un", wide, tan_res_d),
+        "N7": (1 / nu, "velocity", nu, band),
+    }
+    assert set(table) == set(CONDITION_KINDS)
+    for kind, (weight, quantity, delta, keep) in table.items():
+        g = np.where(keep, tr.g, 0.0)
+        series = _layer_norms_by_quadrature(g, bas, quantity, delta)
+        expected = weight * np.trapezoid(series, tr.times)
+        assert expected > 0.0
+        got = condition_functional(tr, kind, sched, bas)
+        assert got == pytest.approx(expected, rel=1e-13, abs=0), kind
+        if delta is not None:
+            rule = radial_rule(1.0 - delta, float(bas.alpha[: nt + 1, :nt].max()))
+            np.testing.assert_allclose(norm_sq_series(g, bas, quantity, rule),
+                                       series, rtol=1e-13, atol=0)
+
+
+def test_zero_rows_build_no_profile_rows(sched, monkeypatch):
+    nu = 0.05
+    bas = StokesBasis(8, 8)  # its own caches: every row it needs is built here
+    g0 = np.zeros((9, 8), dtype=complex)
+    g0[:3] = 1.0 / np.arange(1, 9)
+    tr = linear_trace(SpectralCoeffs(g=g0), bas, nu, graded_times(1.0, 401))
+    rows = []
+    orig = bas.profile_matrix
+
+    def spy(n, *args, **kwargs):
+        rows.append(n)
+        return orig(n, *args, **kwargs)
+
+    monkeypatch.setattr(bas, "profile_matrix", spy)
+    for kind in CONDITION_KINDS:
+        condition_functional(tr, kind, sched, bas)
+    assert rows and max(rows) == 2

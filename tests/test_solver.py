@@ -244,3 +244,25 @@ def test_unforced_blow_up_is_flagged_at_the_same_step(bas):
     assert tr.failed
     assert tr.times[-1] == pytest.approx(0.15)
     assert tr.message.startswith("norm grew") and "t=0.15 " in tr.message
+
+
+@pytest.mark.parametrize("init, stride, dt", [("generic", 1, None),
+                                              ("complex-row-0", 3, 0.001)])
+def test_unforced_closed_form_matches_heun_loop(bas, init, stride, dt):
+    # an all-zero forcing keeps simulate on its step loop: the reference;
+    # 410 steps of 0.001 cross a block boundary, and 410 % 3 != 0
+    if init == "complex-row-0":
+        rng = np.random.default_rng(7)
+        init = SpectralCoeffs(g=0.1 * (rng.standard_normal((7, 6))
+                                       + 1j * rng.standard_normal((7, 6))))
+    kw = dict(nu=0.03, t_end=0.41, n_theta=6, n_r=6, init=init, seed=3,
+              linear=True, sample_stride=stride, dt=dt)
+    zero = ForcingSeries(times=np.array([0.0, 0.41]), g=np.zeros((2, 7, 6)))
+    closed = simulate(SimConfig(**kw), bas)
+    loop = simulate(SimConfig(**kw, forcing=zero), bas)
+    assert closed.n_samples == loop.n_samples > 10
+    for name in ("times", "g", "u_norm_sq", "w_norm_sq"):
+        assert np.array_equal(getattr(closed, name), getattr(loop, name)), name
+    np.testing.assert_allclose(closed.visc_cum, loop.visc_cum, rtol=1e-15, atol=0)
+    assert not closed.energy_in.any() and not closed.flux.any()
+    assert not closed.failed
