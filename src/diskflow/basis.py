@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import BesselDomainError, jn_trio, zero_table
+from .bessel import BesselDomainError, LRUCache, jn_trio, zero_table
 
 _SQRT_PI = math.sqrt(math.pi)
 _R_LIMIT = 1.0e-8  # below this, point evaluation switches to series limits
@@ -30,27 +30,6 @@ PHASES = {
     "dtau_un": (1,),     # (1/r) d/dtheta of the radial velocity component
 }
 QUANTITIES = {q: len(ph) for q, ph in PHASES.items()}
-
-
-class LRUCache(dict):
-    """A dict of at most maxsize entries: get() marks an entry as used, and
-    a new entry drops the least recently used.  The default bound is above
-    the rows one run uses (135 profile rows in the benchmark sweep)."""
-
-    def __init__(self, maxsize: int = 256):
-        super().__init__()
-        self.maxsize = maxsize
-
-    def get(self, key, default=None):
-        if key in self:
-            self[key] = self.pop(key)
-        return super().get(key, default)
-
-    def __setitem__(self, key, value):
-        self.pop(key, None)
-        super().__setitem__(key, value)
-        if len(self) > self.maxsize:
-            del self[next(iter(self))]
 
 
 @dataclass(frozen=True)
@@ -80,12 +59,12 @@ class StokesBasis:
         self.alpha = zeros[1:, :].copy()
         self.beta = zeros[:-1, :].copy()
         self.lam = self.alpha**2
-        self.j_at_alpha = np.empty_like(self.alpha)
-        for n in range(n_max + 1):
-            self.j_at_alpha[n] = jn_trio(n, self.alpha[n])[1]
+        ns = np.arange(n_max + 1)
+        self.j_at_alpha = jn_trio(np.repeat(ns, k_max),
+                                  self.alpha.ravel())[1].reshape(self.alpha.shape)
         self.c_signed = 1.0 / (_SQRT_PI * self.j_at_alpha)
         self.c_norm = np.abs(self.c_signed)
-        ns = np.arange(n_max + 1, dtype=float)[:, None]
+        ns = ns.astype(float)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             self.d_const = np.where(ns >= 1, -self.lam * self.j_at_alpha / ns, np.nan)
         self._profile_cache = LRUCache()
@@ -233,7 +212,7 @@ def velocity_gradient_eval(pair: EigenPair, r: float, theta: float) -> np.ndarra
     return grad * np.exp(1j * pair.n * theta)
 
 
-_basis_cache: dict[tuple[int, int], StokesBasis] = {}
+_basis_cache = LRUCache(8)  # found by cover, not get(): the oldest goes first
 
 
 def stokes_basis(n_max: int, k_max: int) -> StokesBasis:

@@ -2,9 +2,10 @@
 
 Self-contained double-precision kernel for integer orders.  Values come from
 the ascending power series for small arguments and from backward recurrence
-with sum normalization otherwise; zeros come from interlacing brackets
-refined by safeguarded Newton iteration.  Everything is vectorized over the
-argument so that table construction and dense lemma scans stay cheap.
+with sum normalization otherwise, at one order per argument; zeros come from
+asymptotic seeds refined by batched safeguarded Newton iteration.
+Everything is vectorized over the argument so that table construction and
+dense lemma scans stay cheap.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ _RESCALE = 1.0e250
 _RESCALE_INV = 1.0e-250
 
 _ZERO_REL_TOL = 1.0e-12  # safeguarded-loop stop; polish steps finish the job
+_ZERO_BLOCK = 1 << 14    # zero-table lanes per batch: bounds its workspace
 
 
 class BesselDomainError(ValueError):
@@ -34,30 +36,57 @@ class ZeroConvergenceError(RuntimeError):
     """Zero refinement failed to converge inside its bracket."""
 
 
-def _check_order(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise BesselDomainError(f"order must be a nonnegative integer, got {n!r}")
-    if n > ORDER_MAX:
-        raise BesselDomainError(f"order {n} exceeds the supported maximum {ORDER_MAX}")
-    return int(n)
+class LRUCache(dict):
+    """A dict of at most maxsize entries: get() marks an entry as used, and
+    a new entry drops the least recently used.  The default bound is above
+    the rows one run uses (135 profile rows in the benchmark sweep)."""
+
+    def __init__(self, maxsize: int = 256):
+        super().__init__()
+        self.maxsize = maxsize
+
+    def get(self, key, default=None):
+        if key in self:
+            self[key] = self.pop(key)
+        return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        self.pop(key, None)
+        super().__setitem__(key, value)
+        if len(self) > self.maxsize:
+            del self[next(iter(self))]
 
 
-def _miller_select(x: np.ndarray, orders: list[int]) -> np.ndarray:
-    """The sorted distinct orders of J at each x > 0 via normalized backward
-    recurrence; one row per order, shape (len(orders), x.size).
+def _check_order(n):
+    """n as an int, or an integer array of orders as a flat array."""
+    a = np.asarray(n)
+    if a.dtype.kind not in "iu" or (a.size and a.min() < 0):
+        raise BesselDomainError(f"orders must be nonnegative integers, got {n!r}")
+    if a.size and a.max() > ORDER_MAX:
+        raise BesselDomainError(f"order {a.max()} exceeds the supported maximum {ORDER_MAX}")
+    return int(a) if a.ndim == 0 else a.ravel()
 
-    The recurrence J_{m-1} = (2m/x) J_m - J_{m+1} is seeded high above the
-    turning point and scaled by the identity J_0 + 2*sum_{m even} J_m = 1.
-    Lanes are rescaled on the fly to avoid overflow; the per-order scale is
-    tracked so orders stored before a rescale can be corrected at the end.
+
+def _miller(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """(J_{|n-1|}, J_n, J_{n+1}) at each x > 0 for its lane's order n, shape
+    (3, x.size); n is nondecreasing, so each store is a slice copy.
+
+    Normalized backward recurrence (Gautschi 1967): J_{m-1} = (2m/x) J_m -
+    J_{m+1} from high above the largest turning point, scaled by
+    J_0 + 2*sum_{m even} J_m = 1.  Lanes are rescaled on the fly against
+    overflow, and each store records its scale for the correction at the end.
     """
     p = x.size
-    top = max(float(orders[-1]), float(x.max()))
+    cuts = (np.flatnonzero(n[1:] != n[:-1]) + 1).tolist()
+    top = max(float(n[-1] + 1), float(x.max()))
     m_start = int(np.ceil(top + 14.0 * np.cbrt(top) + 18.0))
-
-    row = {o: i for i, o in enumerate(orders)}
-    out = np.zeros((len(orders), p))
-    oexp = np.zeros((len(orders), p), dtype=np.int64)
+    stores = {}  # k: [(row of J_k, first lane, end lane)]
+    for s, e in zip([0] + cuts, cuts + [p]):
+        o = int(n[s])
+        for slot, k in enumerate((abs(o - 1), o, o + 1)):
+            stores.setdefault(k, []).append((slot, s, e))
+    out = np.zeros((3, p))
+    oexp = np.zeros((3, p), dtype=np.int64)
     exp = np.zeros(p, dtype=np.int64)
     a = np.zeros(p)           # J_{m+1}
     b = np.full(p, 1e-30)     # J_m
@@ -74,18 +103,19 @@ def _miller_select(x: np.ndarray, orders: list[int]) -> np.ndarray:
             even_sum += b
         if m % 8 == 0 and np.max(np.abs(b)) > _RESCALE:
             bigmask = np.abs(b) > _RESCALE
-            s = np.where(bigmask, _RESCALE_INV, 1.0)
-            a *= s
-            b *= s
-            even_sum *= s
+            scale = np.where(bigmask, _RESCALE_INV, 1.0)
+            a *= scale
+            b *= scale
+            even_sum *= scale
             exp = exp + bigmask
-        if k in row:
-            out[row[k]] = b
-            oexp[row[k]] = exp
-    norm = b + 2.0 * even_sum  # b now holds J_0 (up to scale)
-    with np.errstate(under="ignore"):
-        scale = np.power(_RESCALE_INV, (exp[None, :] - oexp).astype(float))
-        return out / norm * scale
+        for slot, s, e in stores.get(k, ()):
+            out[slot, s:e] = b[s:e]
+            oexp[slot, s:e] = exp[s:e]
+    out /= b + 2.0 * even_sum  # b now holds J_0 (up to scale)
+    if exp.any():
+        with np.errstate(under="ignore"):
+            out *= np.power(_RESCALE_INV, (exp - oexp).astype(float))
+    return out
 
 
 def _series_orders(orders: list[int], x: np.ndarray) -> np.ndarray:
@@ -110,55 +140,55 @@ def _series_orders(orders: list[int], x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jn_orders(x: np.ndarray, orders) -> np.ndarray:
-    """J_m(x) for each m in orders (repeats allowed), shape (len(orders), x.size)."""
-    orders = list(orders)
-    uniq = sorted(set(orders))
-    out = np.empty((len(uniq), x.size))
+def jn_trio(n, x) -> np.ndarray:
+    """Rows (J_{n-1}, J_n, J_{n+1}) at each x >= 0, J_{-1} = -J_1, for one
+    order n or one per argument; the recurrence runs on lanes sorted by order."""
+    n = _check_order(n)
+    x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    if x.size and x.min() < 0.0:
+        raise BesselDomainError("argument must be nonnegative")
+    n = np.broadcast_to(n, x.shape)
+    perm = np.argsort(n, kind="stable") if (n[1:] < n[:-1]).any() else None
+    if perm is not None:
+        x, n = x[perm], n[perm]
     small = x <= _SERIES_X_CUT
-    if small.any():
-        out[:, small] = _series_orders(uniq, x[small])
-    if (~small).any():
-        out[:, ~small] = _miller_select(x[~small], uniq)
-    return out if uniq == orders else out[np.searchsorted(uniq, orders)]
+    if not small.any():
+        out = _miller(x, n) if x.size else np.zeros((3, 0))
+    else:
+        out = np.empty((3, x.size))
+        for o in set(n[small].tolist()):  # np.unique would import numpy.ma
+            sel = small & (n == o)
+            out[:, sel] = _series_orders([abs(o - 1), o, o + 1], x[sel])
+        if not small.all():
+            out[:, ~small] = _miller(x[~small], n[~small])
+    np.negative(out[0], out=out[0], where=n == 0)
+    if perm is not None:
+        out[:, perm] = out.copy()
+    return out
 
 
 def jn_block(nmax: int, x) -> np.ndarray:
     """All orders J_0(x)..J_nmax(x); shape (nmax + 1,) + x.shape."""
     nmax = _check_order(nmax)
     x = np.asarray(x, dtype=float)
-    flat = np.atleast_1d(x).ravel()
-    if flat.size and flat.min() < 0.0:
-        raise BesselDomainError("argument must be nonnegative")
-    return _jn_orders(flat, range(nmax + 1)).reshape((nmax + 1,) + x.shape)
-
-
-def jn_trio(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(J_{n-1}, J_n, J_{n+1}) at each x >= 0, with J_{-1} = -J_1 for n = 0."""
-    n = _check_order(n)
-    x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    if x.size and x.min() < 0.0:
-        raise BesselDomainError("argument must be nonnegative")
-    jm1, jn, jp1 = _jn_orders(x, (abs(n - 1), n, n + 1))
-    return (jm1 if n >= 1 else -jm1), jn, jp1
+    centers = np.arange(1, nmax + 2, 3)  # their trios hold every order
+    trio = jn_trio(np.repeat(centers, x.size), np.tile(x.ravel(), centers.size))
+    rows = trio.reshape(3, centers.size, x.size).transpose(1, 0, 2).reshape(-1, x.size)
+    return rows[: nmax + 1].reshape((nmax + 1,) + x.shape)
 
 
 def bessel_j(n: int, x):
     """J_n(x) for integer n >= 0 and 0 <= x <= X_MAX."""
-    n = _check_order(n)
     xa = np.asarray(x, dtype=float)
     flat = np.atleast_1d(xa).ravel()
     if flat.size and float(flat.max()) > X_MAX:
         raise BesselDomainError(f"argument exceeds maximum {X_MAX}")
-    if flat.size and float(flat.min()) < 0.0:
-        raise BesselDomainError("argument must be nonnegative")
-    res = _jn_orders(flat, (n,))[0].reshape(xa.shape)
+    res = jn_trio(n, flat)[1].reshape(xa.shape)
     return float(res) if np.isscalar(x) or xa.ndim == 0 else res
 
 
 def bessel_j_prime(n: int, x):
     """dJ_n/dx via the two-neighbor recurrence (J_{n-1} - J_{n+1})/2."""
-    n = _check_order(n)
     xa = np.asarray(x, dtype=float)
     flat = np.atleast_1d(xa).ravel()
     if flat.size and float(flat.max()) > X_MAX:
@@ -168,26 +198,51 @@ def bessel_j_prime(n: int, x):
     return float(res) if np.isscalar(x) or xa.ndim == 0 else res
 
 
-def _jn_and_prime(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    jm1, jn, jp1 = jn_trio(n, x)
-    return jn, 0.5 * (jm1 - jp1)
+def _zero_seeds(n: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """First guesses for the zeros j_{n,k}: McMahon's expansion in
+    b = (k + n/2 - 1/4) pi for k > n (DLMF 10.21.19), otherwise the leading
+    term n z(zeta) of Olver's uniform expansion, zeta = n^(-2/3) a_k with
+    a_k the k-th Airy zero (DLMF 10.21.43, 9.9.6).  Every seed up to
+    (n, k) = (201, 202) lies within 0.01 of its zero."""
+    nf, kf = n.astype(float), k.astype(float)
+    b = (kf + 0.5 * nf - 0.25) * np.pi
+    mu, e = 4.0 * nf * nf, 8.0 * b
+    mcmahon = b - (mu - 1.0) / e * (1.0 + 4.0 * (7.0 * mu - 31.0) / (3.0 * e * e) + 32.0
+                                    * (83.0 * mu * mu - 982.0 * mu + 3779.0) / (15.0 * e**4))
+    t = 0.375 * np.pi * (4.0 * kf - 1.0)
+    minus_ak = t ** (2.0 / 3.0) * (1.0 + 5.0 / (48.0 * t * t) - 5.0 / (36.0 * t ** 4))
+    nu = np.maximum(nf, 1.0)
+    # z solves sqrt(z^2 - 1) - arcsec z = (2/3) (-zeta)^(3/2); the left side
+    # is convex in z, so Newton from the right of the root converges
+    s = minus_ak ** 1.5 / (1.5 * nu)
+    z = s + 0.5 * np.pi
+    for _ in range(6):
+        root = np.sqrt(z * z - 1.0)
+        z -= (root - np.arccos(1.0 / z) - s) * z / root
+    return np.where(k > n, mcmahon, nu * z)
 
 
-def _refine_row(n: int, x0, lo, hi, sign_lo) -> np.ndarray:
-    """Safeguarded Newton for a batch of bracketed zeros of J_n.
+def _block_zeros(n: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Zeros j_{n,k} for lanes sorted by order n, all refined at once.
 
-    (lo, hi) must bracket exactly one zero each and sign_lo is the sign of
-    J_n just right of lo.  Falls back to bisection whenever a Newton step
-    leaves the bracket.
+    Seeds lie within 0.01 and the zeros of J_n more than pi apart, so
+    seed -+ 1 holds one zero: the k-th if J_n has the sign (-1)^(k-1) at the
+    left end and the other at the right, which one pass checks.  Safeguarded
+    Newton (bisection when a step leaves the bracket) and two polish steps
+    follow.
     """
-    lo = lo.copy()
-    hi = hi.copy()
-    x = np.clip(x0, lo + 1e-9, hi - 1e-9)
+    x = _zero_seeds(n, k)
+    lo, hi = x - 1.0, x + 1.0
+    sign_lo = np.where(k % 2 == 1, 1.0, -1.0)
+    ends = jn_trio(np.repeat(n, 2), np.stack([lo, hi], axis=1).ravel())[1]
+    bad = np.flatnonzero(~((ends[0::2] * sign_lo > 0.0) & (ends[1::2] * sign_lo < 0.0)))
+    if bad.size:
+        raise ZeroConvergenceError(f"no bracket for j_(n,k) at ({n[bad[0]]}, {k[bad[0]]})")
     done = np.zeros(x.shape, dtype=bool)
     for _ in range(120):
-        f, fp = _jn_and_prime(n, x)
+        jm1, f, jp1 = jn_trio(n, x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = f / fp
+            step = 2.0 * f / (jm1 - jp1)
         # Convergence is judged on the proposed Newton step: near the root
         # a one-ulp overshoot may fall outside the shrunken bracket, and
         # accepting-only moves would degrade to bisection.
@@ -202,25 +257,30 @@ def _refine_row(n: int, x0, lo, hi, sign_lo) -> np.ndarray:
         if done.all():
             break
     else:
-        raise ZeroConvergenceError(f"zero refinement stalled for order {n}")
+        raise ZeroConvergenceError(f"zero refinement stalled for orders {n[0]}..{n[-1]}")
     # Unsafeguarded Newton polish from inside the basin reaches ulp level.
     for _ in range(2):
-        f, fp = _jn_and_prime(n, x)
-        x = x - f / fp
+        jm1, f, jp1 = jn_trio(n, x)
+        x = x - 2.0 * f / (jm1 - jp1)
     return x
+
+
+def _zeros_in_range(n_max: int, k_max: int) -> bool:
+    return math.pi * (k_max + 1 + 0.5 * n_max) <= X_MAX  # j_{n,k} < pi (n/2 + k)
 
 
 class ZeroTable:
     """Positive zeros j_{n,k} of J_n for n <= n_max, 1 <= k <= k_max.
 
-    Rows are built upward: row 0 from asymptotic first guesses, row n from
-    the interlacing brackets (j_{n-1,k}, j_{n-1,k+1}).  One spare column is
-    kept internally so every public entry has a two-sided bracket.
+    Built in blocks of at most _ZERO_BLOCK lanes (n, k), each refined from
+    asymptotic seeds at once; monotone rows and interlacing validate the
+    result, and a spare column lets that check cover every public entry.
     """
 
     def __init__(self, n_max: int, k_max: int):
-        if n_max < 0 or k_max < 1:
-            raise BesselDomainError("need n_max >= 0 and k_max >= 1")
+        if n_max < 0 or k_max < 1 or not _zeros_in_range(n_max, k_max):
+            raise BesselDomainError(f"need n_max >= 0, k_max >= 1 and zeros below "
+                                    f"{X_MAX}, got ({n_max}, {k_max})")
         _check_order(n_max + 1)
         self.n_max = int(n_max)
         self.k_max = int(k_max)
@@ -228,25 +288,12 @@ class ZeroTable:
 
     @staticmethod
     def _build(n_max: int, cols: int) -> np.ndarray:
-        rows = np.empty((n_max + 1, cols))
-        ks = np.arange(1, cols + 1)
-        sign_lo = np.where(ks % 2 == 1, 1.0, -1.0)
-
-        b = (ks - 0.25) * np.pi
-        guess = b + 1.0 / (8.0 * b)
-        rows[0] = _refine_row(0, guess, b - 0.8, b + 0.8, sign_lo)
-
-        prev_spacing = np.full(cols, 1.3)
-        for n in range(1, n_max + 1):
-            prev = rows[n - 1]
-            lo = prev
-            hi = np.empty(cols)
-            hi[:-1] = prev[1:]
-            hi[-1] = prev[-1] + 0.5 * np.pi + 0.1
-            guess = np.clip(prev + prev_spacing, lo + 1e-6, hi - 1e-6)
-            rows[n] = _refine_row(n, guess, lo, hi, sign_lo)
-            prev_spacing = rows[n] - prev
-
+        size = (n_max + 1) * cols
+        zeros = np.empty(size)
+        for s in range(0, size, _ZERO_BLOCK):
+            n, k = np.divmod(np.arange(s, min(s + _ZERO_BLOCK, size)), cols)
+            zeros[s:s + n.size] = _block_zeros(n, k + 1)
+        rows = zeros.reshape(n_max + 1, cols)
         if not (np.diff(rows, axis=1) > 0).all():
             raise ZeroConvergenceError("zero table rows are not increasing")
         if n_max >= 1 and not ((rows[1:] > rows[:-1]).all()
@@ -271,7 +318,7 @@ class ZeroTable:
         return self._rows[:, : self.k_max].copy()
 
 
-_table_cache: dict[tuple[int, int], ZeroTable] = {}
+_table_cache = LRUCache(8)  # found by cover, not get(): the oldest goes first
 
 
 def zero_table(n_max: int, k_max: int) -> ZeroTable:
@@ -280,6 +327,7 @@ def zero_table(n_max: int, k_max: int) -> ZeroTable:
         if tn >= n_max and tk >= k_max:
             return tab
     key = (max(n_max, 8), max(k_max, 8))
+    key = key if _zeros_in_range(*key) else (n_max, k_max)
     tab = ZeroTable(*key)
     _table_cache[key] = tab
     return tab

@@ -455,7 +455,9 @@ def _scan_layers(lemma, n_max, k_max, basis):
     return _report(lemma, n_max, k_max, rows, envelope, extra)
 
 
-def _scan_cross_inner_products(lemma, n_max, k_max, basis):
+def _cross_pairs(n_max, k_max):
+    """The inner-product scan's sorted pairs (m, j, n, k), m != n, as arrays
+    over about 11 orders a side, and a random layer width per pair."""
     rng = np.random.default_rng(0)
     pairs = set()
     for m in range(0, n_max + 1, max(1, n_max // 10)):
@@ -465,13 +467,15 @@ def _scan_cross_inner_products(lemma, n_max, k_max, basis):
             j = int(rng.integers(1, k_max + 1))
             k = int(rng.integers(1, k_max + 1))
             pairs.add((m, j, n, k))
-    rows = []
-    for m, j, n, k in sorted(pairs):
-        delta = float(rng.uniform(0.02, 1.0))
-        vo = abs(mode_inner_product(basis, (m, j), (n, k), "vorticity", delta))
-        vu = abs(mode_inner_product(basis, (m, j), (n, k), "velocity", delta))
-        v = max(vo, vu)
-        rows.append(_worst(m, j, delta, v, 0.0, -v))
+    m, j, n, k = np.array(sorted(pairs)).T
+    return m, j, n, k, rng.uniform(0.02, 1.0, m.size)
+
+
+def _scan_cross_inner_products(lemma, n_max, k_max, basis):
+    m, j, n, k, delta = _cross_pairs(n_max, k_max)
+    v = np.maximum(*(np.abs(mode_inner_product(basis, (m, j), (n, k), q, delta))
+                     for q in ("vorticity", "velocity")))
+    rows = [_worst(mp, jp, dp, vp, 0.0, -vp) for mp, jp, dp, vp in zip(m, j, delta, v)]
     rep = _report(lemma, n_max, k_max, rows)
     rep.passed = bool(rep.worst_margin >= -1e-12)
     return rep

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .basis import PHASES, QUANTITIES, StokesBasis, pair_profile
+from .basis import PHASES, QUANTITIES, StokesBasis, radial_profiles
 from .bessel import jn_trio
 
 _RULE_TOL = 1.0e-11
@@ -346,27 +346,36 @@ def inner_product(a: FieldSample, b: FieldSample) -> complex:
     return complex(wth * np.sum(a.grid.w[None, None, :] * a.values * np.conj(b.values)))
 
 
-def mode_inner_product(basis: StokesBasis, mode_a: tuple[int, int],
-                       mode_b: tuple[int, int], quantity: str = "vorticity",
-                       delta: float = 1.0) -> complex:
+def mode_inner_product(basis: StokesBasis, mode_a, mode_b,
+                       quantity: str = "vorticity", delta=1.0):
     """Inner product of two complex basis modes over a boundary layer.
 
     Integrates the actual complex mode values on a tensor grid, so the
     angular cancellation between different angular indices is exercised
-    numerically rather than assumed.
+    numerically rather than assumed.  The orders and indices of mode_a and
+    mode_b, and delta, may also be arrays that broadcast to P pairs; the
+    result is then an array of P inner products, evaluated with one
+    radial_profiles call per angular order.
     """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"layer width {delta} outside (0, 1]")
-    (m, j), (n, k) = mode_a, mode_b
-    n_angular = 2 * max(m, n) + 4
-    pair_a, pair_b = basis.pair(m, j), basis.pair(n, k)
+    scalar = all(np.ndim(v) == 0 for v in (*mode_a, *mode_b, delta))
+    m, j, n, k, delta = np.broadcast_arrays(*np.atleast_1d(*mode_a, *mode_b, delta))
+    if not np.all(ok := (delta > 0.0) & (delta <= 1.0)):
+        raise ValueError(f"layer width {delta[~ok][0]} outside (0, 1]")
+    orders, idx = np.concatenate([m, n]), np.concatenate([j, k])
+    for o, i in zip(orders.tolist(), idx.tolist()):
+        basis._check(o, i)
     # the full-disk count for the basis's largest alpha resolves any layer
     nq = radial_rule(0.0, float(basis.alpha.max()))[0].size
-    r, w = _gauss_radial(nq, 1.0 - delta)
-    pa = pair_profile(pair_a, r, quantity)
-    pb = pair_profile(pair_b, r, quantity)
-    th = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    ang = np.sum(np.exp(1j * (m - n) * th)) * (2.0 * np.pi / n_angular)
-    rad = complex(np.sum(w[None, :] * pa * pb))  # real factors; phases cancel
-    return ang * rad
-
+    r, w = _gauss_radial(nq, 1.0 - delta[:, None].astype(float))
+    prof = np.empty((QUANTITIES[quantity], orders.size, nq))
+    for o in set(orders.tolist()):
+        sel = orders == o
+        prof[:, sel] = radial_profiles(  # lane i has the radii of pair i mod P
+            o, basis.alpha[o, idx[sel] - 1], basis.c_signed[o, idx[sel] - 1],
+            r[np.flatnonzero(sel) % m.size], quantity)[quantity]
+    rad = np.sum(w * prof[:, : m.size] * prof[:, m.size:], axis=(0, 2))  # phases cancel
+    na = 2 * np.maximum(m, n) + 4
+    ang = np.array([np.sum(np.exp(1j * d * (2.0 * np.pi * np.arange(a) / a)))
+                    * (2.0 * np.pi / a) for d, a in zip((m - n).tolist(), na.tolist())])
+    out = ang * rad
+    return complex(out[0]) if scalar else out

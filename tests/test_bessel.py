@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from diskflow.bessel import (BesselDomainError, ZeroTable, bessel_j,
-                             bessel_j_prime, bessel_zero, compound_decay,
-                             jn_block, zero_table)
+import diskflow.bessel
+from diskflow.bessel import (X_MAX, BesselDomainError, LRUCache, ZeroConvergenceError,
+                             ZeroTable, bessel_j, bessel_j_prime, bessel_zero,
+                             compound_decay, jn_block, jn_trio, zero_table)
 from oracles import bisect_zero, central_diff, series_jn, trapezoid_radial
 
 
@@ -52,6 +53,22 @@ def test_against_mpmath_spot_checks(rng):
         ref = np.array([float(mp.besselj(n, mp.mpf(float(v)))) for v in x])
         env = np.maximum(np.abs(ref), np.sqrt(2.0 / (np.pi * np.maximum(x, 1.0))))
         assert np.max(np.abs(mine - ref) / env) < 2e-13
+
+
+def test_per_lane_orders_match_constant_order_calls(rng):
+    # lanes in shuffled order; each reference call holds the largest
+    # argument too, so both recurrences start at the same index
+    orders = rng.integers(0, 41, 600)
+    orders[:20] = 0
+    x = np.concatenate([rng.uniform(0.0, 0.5, 40), rng.uniform(0.6, 200.0, 560)])
+    rng.shuffle(orders)
+    got = jn_trio(orders, x)
+    for o in range(41):
+        sel = orders == o
+        want = jn_trio(o, np.append(x[sel], x.max()))[:, :-1]
+        np.testing.assert_allclose(got[:, sel], want, rtol=1e-15, atol=0)
+    zero = orders == 0
+    assert zero.sum() >= 20 and np.array_equal(got[0, zero], -got[2, zero])
 
 
 def test_derivative_formula_and_finite_difference():
@@ -117,6 +134,34 @@ def test_zero_table_against_scipy():
     for n in [0, 1, 17, 40]:
         ref = sp.jn_zeros(n, 40)
         assert np.max(np.abs(tab.row(n, 40) - ref)) < 5e-13
+
+
+def test_zero_seeds_lie_close_to_the_zeros():
+    for n in [0, 1, 2, 7, 60, 201]:
+        k = np.arange(1, 203)
+        seeds = diskflow.bessel._zero_seeds(np.full(k.size, n), k)
+        assert np.max(np.abs(seeds - sp.jn_zeros(n, 202))) < 0.011
+
+
+@pytest.mark.parametrize("shift", [0.5 * np.pi, np.pi])
+def test_seed_off_by_a_spacing_raises(monkeypatch, shift):
+    # a bracket around the next zero, or around none, fails the sign check
+    seeds = diskflow.bessel._zero_seeds
+    monkeypatch.setattr(diskflow.bessel, "_zero_seeds", lambda n, k: seeds(n, k) + shift)
+    with pytest.raises(ZeroConvergenceError, match="no bracket"):
+        ZeroTable(6, 6)
+
+
+def test_zero_table_domain_guard(monkeypatch):
+    # j_{n,k} < pi (n/2 + k) for the spare column k_max + 1 must stay in range
+    monkeypatch.setattr(diskflow.bessel, "_table_cache", LRUCache(8))
+    with pytest.raises(BesselDomainError, match="zeros below"):
+        zero_table(3, 10**8)
+    with pytest.raises(BesselDomainError, match="zeros below"):
+        bessel_zero(0, 3184)
+    # pi * 3183 < X_MAX, although the padded table (8, 3182) is out of range
+    last = bessel_zero(0, 3182)
+    assert last == pytest.approx(sp.jn_zeros(0, 3182)[-1], abs=1e-9) and last < X_MAX
 
 
 def test_zeros_are_roots_and_in_range():

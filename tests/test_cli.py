@@ -151,6 +151,8 @@ MALFORMED = {
         ["verify", "--lemmas", "NoSuchLemma"], None, "NoSuchLemma"),
     "zeros-k-max-negative": (
         ["zeros", "--n-max", "1", "--k-max", "-1"], None, "nonnegative"),
+    "zeros-beyond-argument-range": (
+        ["zeros", "--n-max", "3", "--k-max", "100000000"], None, "zeros below"),
     "simulate-dt-negative": (["simulate"], {**SIM, "dt": -0.5}, "dt must be"),
     "simulate-dt-zero": (["simulate"], {**SIM, "dt": 0}, "dt must be"),
     "simulate-sample-stride-0": (

@@ -256,6 +256,26 @@ def test_angular_selection_rule(bas):
     assert worst < 1e-12
 
 
+def test_batched_inner_products_equal_scalar_calls(monkeypatch):
+    import diskflow.diagnostics
+    from diskflow.diagnostics import _cross_pairs
+    from diskflow.field import mode_inner_product
+
+    bas = stokes_basis(30, 30)
+    m, j, n, k, delta = _cross_pairs(30, 30)
+    for q in ("vorticity", "velocity"):
+        batched = mode_inner_product(bas, (m, j), (n, k), q, delta)
+        single = [mode_inner_product(bas, (int(a), int(b)), (int(c), int(d)), q, float(e))
+                  for a, b, c, d, e in zip(m, j, n, k, delta)]
+        assert all(isinstance(v, complex) for v in single)
+        assert np.max(np.abs(batched - np.array(single))) <= 1e-28
+    calls = []
+    monkeypatch.setattr(diskflow.diagnostics, "mode_inner_product",
+                        lambda *a: calls.append(a) or mode_inner_product(*a))
+    assert verify_lemma("SomeL2InnerProductsAreZero", 30, 30, bas).passed
+    assert len(calls) == 2
+
+
 def test_verify_lemma_unknown_id():
     with pytest.raises(ValueError, match="unknown lemma id"):
         verify_lemma("NotALemma", 5, 5)
