@@ -167,35 +167,25 @@ def jn_trio(n, x) -> np.ndarray:
     return out
 
 
-def jn_block(nmax: int, x) -> np.ndarray:
-    """All orders J_0(x)..J_nmax(x); shape (nmax + 1,) + x.shape."""
-    nmax = _check_order(nmax)
-    x = np.asarray(x, dtype=float)
-    centers = np.arange(1, nmax + 2, 3)  # their trios hold every order
-    trio = jn_trio(np.repeat(centers, x.size), np.tile(x.ravel(), centers.size))
-    rows = trio.reshape(3, centers.size, x.size).transpose(1, 0, 2).reshape(-1, x.size)
-    return rows[: nmax + 1].reshape((nmax + 1,) + x.shape)
+def _at(n: int, x, pick):
+    """pick(J_{n-1}, J_n, J_{n+1}) at each 0 <= x <= X_MAX, shaped like x;
+    a float for scalar x."""
+    xa = np.asarray(x, dtype=float)
+    flat = np.atleast_1d(xa).ravel()
+    if flat.size and float(flat.max()) > X_MAX:
+        raise BesselDomainError(f"argument exceeds maximum {X_MAX}")
+    res = pick(*jn_trio(n, flat)).reshape(xa.shape)
+    return float(res) if xa.ndim == 0 else res
 
 
 def bessel_j(n: int, x):
     """J_n(x) for integer n >= 0 and 0 <= x <= X_MAX."""
-    xa = np.asarray(x, dtype=float)
-    flat = np.atleast_1d(xa).ravel()
-    if flat.size and float(flat.max()) > X_MAX:
-        raise BesselDomainError(f"argument exceeds maximum {X_MAX}")
-    res = jn_trio(n, flat)[1].reshape(xa.shape)
-    return float(res) if np.isscalar(x) or xa.ndim == 0 else res
+    return _at(n, x, lambda jm1, j, jp1: j)
 
 
 def bessel_j_prime(n: int, x):
     """dJ_n/dx via the two-neighbor recurrence (J_{n-1} - J_{n+1})/2."""
-    xa = np.asarray(x, dtype=float)
-    flat = np.atleast_1d(xa).ravel()
-    if flat.size and float(flat.max()) > X_MAX:
-        raise BesselDomainError(f"argument exceeds maximum {X_MAX}")
-    jm1, _, jp1 = jn_trio(n, flat)
-    res = (0.5 * (jm1 - jp1)).reshape(xa.shape)
-    return float(res) if np.isscalar(x) or xa.ndim == 0 else res
+    return _at(n, x, lambda jm1, j, jp1: 0.5 * (jm1 - jp1))
 
 
 def _zero_seeds(n: np.ndarray, k: np.ndarray) -> np.ndarray:

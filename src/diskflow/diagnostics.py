@@ -22,14 +22,15 @@ by the viscosity:
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import StokesBasis, radial_profiles, stokes_basis
 from .bessel import compound_decay, jn_trio, zero_table
-from .field import (SpectralCoeffs, _gauss_radial, _reality_weights, gram,
-                    mode_inner_product, norm_sq_series, radial_rule)
+from .field import (SpectralCoeffs, _reality_weights, gram, layer_rule,
+                    mode_inner_product, norm_sq_series)
 from .solver import SimTrace
 
 CONDITION_KINDS = ("K1", "K2", "K3", "K4", "K5", "K6",
@@ -205,10 +206,7 @@ def condition_functional(trace: SimTrace, kind: str, schedule: ScheduleSpec,
         "N7": (1.0 / nu, "velocity", thin, band),
     }
     weight, quantity, delta, trunc = table[kind]
-    rule = None
-    if delta is not None:
-        alpha_max = float(basis.alpha[: nt + 1, :nr].max())
-        rule = radial_rule(1.0 - delta, alpha_max)
+    rule = None if delta is None else layer_rule(delta, basis.alpha[: nt + 1, :nr])
     # the time integral of the squared norm is Gram x moments, row by row,
     # on the moments masked to the kept modes; the Parseval Gram is I
     moments = trace.moments
@@ -387,12 +385,10 @@ def _layer_mass(basis: StokesBasis, n: int, kk: np.ndarray, deltas: np.ndarray,
                 quantity: str) -> np.ndarray:
     """Squared layer norms of the modes (n, kk) for the widths deltas[k, d].
 
-    The whole row takes one Bessel pass, on radial_rule's node count for
-    the row's widest layer and largest wavenumber.
+    The whole row takes one Bessel pass, on one layer_rule node count.
     """
     alphas = basis.alpha[n, kk - 1]
-    nq = radial_rule(1.0 - float(deltas.max()), float(alphas.max()))[0].size
-    r, w = _gauss_radial(nq, 1.0 - deltas[..., None])
+    r, w = layer_rule(deltas, alphas)
     prof = radial_profiles(n, alphas, basis.c_signed[n, kk - 1],
                            r.reshape(kk.size, -1), quantity)[quantity]
     dens = np.sum(prof ** 2, axis=0).reshape(r.shape)
@@ -447,7 +443,7 @@ def _scan_layers(lemma, n_max, k_max, basis):
             printed_worst = max(printed_worst, float(np.max(mp - 2.0 * dp)))
     extra = None
     if envelope:
-        extra = {"c2": _U_LAYER_C2, "slope_median": float(np.median(slopes)),
+        extra = {"c2": _U_LAYER_C2, "slope_median": statistics.median(slopes),
                  "slope_min": float(np.min(slopes)),
                  "slope_max": float(np.max(slopes))}
     elif lemma == "L2omegaGammaBoundGeneral":

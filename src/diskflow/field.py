@@ -111,6 +111,18 @@ def radial_rule(r_lo: float, alpha_max: float, n_start: int = 48) -> tuple[np.nd
     return _gauss_radial(hi, r_lo)
 
 
+def layer_rule(delta, alphas) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rules (r, w) on the layers 1 - delta < r < 1, one per width
+    along a new last axis, for mode products up to the largest of alphas.
+    All take radial_rule's node count for the widest layer, which resolves
+    every thinner one; a scalar width gets radial_rule's rule itself."""
+    delta = np.asarray(delta, dtype=float)
+    if not np.all(ok := (delta > 0.0) & (delta <= 1.0)):
+        raise ValueError(f"layer width {delta[~ok].flat[0]} outside (0, 1]")
+    rule = radial_rule(1.0 - float(delta.max()), float(np.max(alphas)))
+    return rule if delta.ndim == 0 else _gauss_radial(rule[0].size, 1.0 - delta[..., None])
+
+
 @dataclass
 class SpectralCoeffs:
     """Complex mode coefficients over n = 0..n_theta, k = 1..n_r."""
@@ -329,10 +341,7 @@ def norm_l2(source, basis: StokesBasis | None = None, quantity: str = "vorticity
         raise ValueError("tangential-gradient norms need a layer width < 1")
     if delta is None:
         return float(norm_sq_series(source.g, basis, quantity))
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"layer width {delta} outside (0, 1]")
-    alpha_max = float(basis.alpha[: source.n_theta + 1, : source.n_r].max())
-    rule = radial_rule(1.0 - delta, alpha_max)
+    rule = layer_rule(delta, basis.alpha[: source.n_theta + 1, : source.n_r])
     return float(norm_sq_series(source.g, basis, quantity, rule))
 
 
@@ -359,15 +368,11 @@ def mode_inner_product(basis: StokesBasis, mode_a, mode_b,
     """
     scalar = all(np.ndim(v) == 0 for v in (*mode_a, *mode_b, delta))
     m, j, n, k, delta = np.broadcast_arrays(*np.atleast_1d(*mode_a, *mode_b, delta))
-    if not np.all(ok := (delta > 0.0) & (delta <= 1.0)):
-        raise ValueError(f"layer width {delta[~ok][0]} outside (0, 1]")
     orders, idx = np.concatenate([m, n]), np.concatenate([j, k])
     for o, i in zip(orders.tolist(), idx.tolist()):
         basis._check(o, i)
-    # the full-disk count for the basis's largest alpha resolves any layer
-    nq = radial_rule(0.0, float(basis.alpha.max()))[0].size
-    r, w = _gauss_radial(nq, 1.0 - delta[:, None].astype(float))
-    prof = np.empty((QUANTITIES[quantity], orders.size, nq))
+    r, w = layer_rule(delta, basis.alpha)
+    prof = np.empty((QUANTITIES[quantity], orders.size, r.shape[-1]))
     for o in set(orders.tolist()):
         sel = orders == o
         prof[:, sel] = radial_profiles(  # lane i has the radii of pair i mod P

@@ -20,10 +20,6 @@ from .field import (SpectralCoeffs, Transform, _reality_weights, norm_sq_series,
                     radial_rule)
 
 
-# steps per block of an unforced linear run: bounds its work arrays
-_BLOCK = 256
-
-
 class SolverInstability(RuntimeError):
     """Norm grew by more than 10x in a single step, beyond what the forcing
     alone supplies."""
@@ -265,44 +261,22 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
         state = make_initial(config.init, config.n_theta, config.n_r,
                              seed=config.seed, amplitude=config.amplitude)
     state.time = 0.0
+    state.g[0] = state.g[0].real  # row 0 is read as real, from sample 0 on
     eng = _Engine(config, basis)
     dt = config.dt or default_dt(config, eng, state)
     n_steps = max(1, int(np.ceil(config.t_end / dt - 1e-12)))
     dt = config.t_end / n_steps
+    if config.linear and config.forcing is None:
+        # an unforced step is exactly decay * g, so the closed form at the
+        # step times is the run; its norm only shrinks, so it cannot fail
+        keep = np.r_[0:n_steps:config.sample_stride, n_steps]
+        return linear_trace(state, basis, config.nu, dt * keep)
     decay = np.exp(-config.nu * eng.lam * dt)
     # Per-step viscous dissipation uses the exact exponential profile of each
     # mode (averaged forward/backward), not the trapezoid rule: the fast
     # modes decay on scales well below any reasonable dt.
     fwd_w = (1.0 - decay**2) / eng.lam
     bwd_w = fwd_w / decay**2
-    if config.linear and config.forcing is None:
-        # An unforced Heun step is exactly decay * g: state i is the running
-        # product of the initial state and i factors, taken in step order
-        # (the loop's states, times and norms bit for bit) in blocks of
-        # steps, so memory follows the samples kept; the norm only shrinks,
-        # so no step can fail.
-        keep = np.r_[0:n_steps:config.sample_stride, n_steps]
-        g = np.empty((keep.size,) + state.g.shape, dtype=complex)
-        g[0] = state.g
-        fwd, bwd = (eng.wr[:, None] * fwd_w).ravel(), (eng.wr[:, None] * bwd_w).ravel()
-        steps = np.empty(n_steps)  # the loop's per-step dissipation
-        run = np.empty((min(_BLOCK, n_steps) + 1,) + state.g.shape, dtype=complex)
-        run[0] = state.g
-        run[0, 0].imag = 0.0  # the loop keeps row 0 real from the first step on
-        for lo in range(0, n_steps, _BLOCK):
-            m = min(_BLOCK, n_steps - lo)
-            run[1:m + 1] = decay
-            np.multiply.accumulate(run[:m + 1], axis=0, out=run[:m + 1])
-            mag = np.abs(run[:m + 1]).reshape(m + 1, -1) ** 2
-            if lo == 0:  # the first step dissipates the state as given
-                mag[0] = np.abs(state.g).ravel() ** 2
-            steps[lo:lo + m] = 0.5 * (mag[:-1] @ fwd + mag[1:] @ bwd)
-            new = (keep > lo) & (keep <= lo + m)
-            g[new] = run[keep[new] - lo]
-            run[0] = run[m]
-        times = np.cumsum(np.r_[0.0, np.full(n_steps, dt)])[keep]
-        visc = np.r_[0.0, np.cumsum(steps)][keep]
-        return _unforced_trace(config.nu, times, g, basis, visc)
 
     times, gs, u2s, w2s, viscs, eins, fluxes = [], [], [], [], [], [], []
     u2, w2 = eng.norms(state.g)
@@ -358,20 +332,11 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
     )
 
 
-def _unforced_trace(nu: float, times: np.ndarray, g: np.ndarray,
-                    basis: StokesBasis, visc: np.ndarray) -> SimTrace:
-    """Trace of the unforced linear history g sampled at times: the norms of
-    all samples from one batched call each, no energy input and no flux."""
-    zero = np.zeros(times.size)
-    return SimTrace(nu=nu, times=times, g=g,
-                    u_norm_sq=norm_sq_series(g, basis, "velocity"),
-                    w_norm_sq=norm_sq_series(g, basis, "vorticity"),
-                    visc_cum=visc, energy_in=zero, flux=zero)
-
-
 def linear_trace(init: SpectralCoeffs, basis: StokesBasis, nu: float,
                  times: np.ndarray) -> SimTrace:
-    """Closed-form unforced linear trace sampled at the given times."""
+    """Closed-form unforced linear trace sampled at the given times: each
+    mode decays as exp(-nu lam t) and visc_cum is exact; no energy input
+    and no flux."""
     times = np.asarray(times, dtype=float)
     lam = basis.lam[: init.n_theta + 1, : init.n_r]
     wr = _reality_weights(init.n_theta)[:, None]
@@ -379,4 +344,8 @@ def linear_trace(init: SpectralCoeffs, basis: StokesBasis, nu: float,
     g = init.g * np.exp(-nu * t * lam)
     visc = np.sum(wr * np.abs(init.g) ** 2 * (1.0 - np.exp(-2.0 * nu * lam * t)) / lam,
                   axis=(1, 2))
-    return _unforced_trace(nu, times, g, basis, visc)
+    zero = np.zeros(times.size)
+    return SimTrace(nu=nu, times=times, g=g,
+                    u_norm_sq=norm_sq_series(g, basis, "velocity"),
+                    w_norm_sq=norm_sq_series(g, basis, "vorticity"),
+                    visc_cum=visc, energy_in=zero, flux=zero)

@@ -1,13 +1,17 @@
 """Independent reference implementations used only to check the package.
 
-Everything here is deliberately written from scratch with different
-algorithms than the library: ascending series with compensated summation,
-plain bisection, composite-trapezoid quadrature, and central differences.
+Everything here except jn_block is deliberately written from scratch with
+different algorithms than the library: ascending series with compensated
+summation, plain bisection, composite-trapezoid quadrature, and central
+differences.  jn_block only lays out the library's own jn_trio rows by
+order, for the recurrence tests.
 """
 
 import math
 
 import numpy as np
+
+from diskflow.bessel import jn_trio
 
 
 def series_jn(n: int, x: float, terms: int = 60) -> float:
@@ -57,3 +61,12 @@ def trapezoid_radial(f, a: float, b: float, n: int = 20001) -> float:
 
 def central_diff(f, x: float, h: float = 1e-6):
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def jn_block(nmax: int, x) -> np.ndarray:
+    """All orders J_0(x)..J_nmax(x) from jn_trio; shape (nmax + 1,) + x.shape."""
+    x = np.asarray(x, dtype=float)
+    centers = np.arange(1, nmax + 2, 3)  # their trios hold every order
+    trio = jn_trio(np.repeat(centers, x.size), np.tile(x.ravel(), centers.size))
+    rows = trio.reshape(3, centers.size, x.size).transpose(1, 0, 2).reshape(-1, x.size)
+    return rows[: nmax + 1].reshape((nmax + 1,) + x.shape)

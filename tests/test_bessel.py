@@ -7,8 +7,8 @@ import scipy.special as sp
 import diskflow.bessel
 from diskflow.bessel import (X_MAX, BesselDomainError, LRUCache, ZeroConvergenceError,
                              ZeroTable, bessel_j, bessel_j_prime, bessel_zero,
-                             compound_decay, jn_block, jn_trio, zero_table)
-from oracles import bisect_zero, central_diff, series_jn, trapezoid_radial
+                             compound_decay, jn_trio, zero_table)
+from oracles import bisect_zero, central_diff, jn_block, series_jn, trapezoid_radial
 
 
 def test_values_at_zero_argument():

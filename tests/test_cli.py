@@ -441,3 +441,12 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "diskflow.cli", "--version"],
         capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, diskflow.cli; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -6,9 +6,10 @@ import pytest
 import scipy.special as sp
 
 from diskflow.basis import stokes_basis
-from diskflow.field import (FieldSample, GridError, SpectralCoeffs, build_grid,
-                            inner_product, mode_inner_product, norm_l2,
-                            norm_sq_series, project, radial_rule, synthesize)
+from diskflow.field import (FieldSample, GridError, SpectralCoeffs, _gauss_radial,
+                            build_grid, inner_product, layer_rule,
+                            mode_inner_product, norm_l2, norm_sq_series, project,
+                            radial_rule, synthesize)
 from oracles import trapezoid_radial
 
 
@@ -344,6 +345,24 @@ def test_inner_product_scan_validates_one_rule(monkeypatch):
 def test_mode_inner_product_rejects_bad_layer_widths(bas, delta):
     with pytest.raises(ValueError, match="layer width"):
         mode_inner_product(bas, (3, 2), (5, 7), "velocity", delta=delta)
+    with pytest.raises(ValueError, match="layer width"):
+        norm_l2(random_coeffs(np.random.default_rng(0)), bas, "velocity", delta=delta)
+    with pytest.raises(ValueError, match="layer width"):
+        layer_rule(np.array([0.5, delta]), bas.alpha)
+
+
+def test_layer_rule_gives_every_width_the_widest_layers_count():
+    alphas = np.array([20.0, 140.0])
+    deltas = np.array([[1.0, 0.05], [0.3, 0.6]])
+    q = radial_rule(0.0, 140.0)[0].size
+    assert q > radial_rule(1.0 - 0.6, 140.0)[0].size  # the widest sets it
+    r, w = layer_rule(deltas, alphas)
+    assert r.shape == w.shape == deltas.shape + (q,)
+    for i in np.ndindex(deltas.shape):
+        ri, wi = _gauss_radial(q, 1.0 - deltas[i])
+        assert np.array_equal(r[i], ri) and np.array_equal(w[i], wi)
+    for a, b in zip(layer_rule(0.05, alphas), radial_rule(1.0 - 0.05, 140.0)):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("r_lo, alpha", [(float("nan"), 10.0), (0.0, float("nan")),
