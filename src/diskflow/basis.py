@@ -10,12 +10,13 @@ gradient inner product; the sign is fixed so every mode's vorticity is
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import BesselDomainError, LRUCache, jn_trio, zero_table
+from .bessel import BesselDomainError, jn_trio, zero_table
 
 _SQRT_PI = math.sqrt(math.pi)
 _R_LIMIT = 1.0e-8  # below this, point evaluation switches to series limits
@@ -30,6 +31,27 @@ PHASES = {
     "dtau_un": (1,),     # (1/r) d/dtheta of the radial velocity component
 }
 QUANTITIES = {q: len(ph) for q, ph in PHASES.items()}
+
+
+class LRUCache(dict):
+    """A dict of at most maxsize entries: get() marks an entry as used, and
+    a new entry drops the least recently used.  The default bound is above
+    the rows one run uses (135 profile rows in the benchmark sweep)."""
+
+    def __init__(self, maxsize: int = 256):
+        super().__init__()
+        self.maxsize = maxsize
+
+    def get(self, key, default=None):
+        if key in self:
+            self[key] = self.pop(key)
+        return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        self.pop(key, None)
+        super().__setitem__(key, value)
+        if len(self) > self.maxsize:
+            del self[next(iter(self))]
 
 
 @dataclass(frozen=True)
@@ -54,8 +76,7 @@ class StokesBasis:
             raise ValueError("need n_max >= 0 and k_max >= 1")
         self.n_max = int(n_max)
         self.k_max = int(k_max)
-        tab = zero_table(n_max + 1, k_max)
-        zeros = tab.all_rows()[: n_max + 2, :k_max]
+        zeros = zero_table(n_max + 1, k_max).all_rows()
         self.alpha = zeros[1:, :].copy()
         self.beta = zeros[:-1, :].copy()
         self.lam = self.alpha**2
@@ -212,15 +233,7 @@ def velocity_gradient_eval(pair: EigenPair, r: float, theta: float) -> np.ndarra
     return grad * np.exp(1j * pair.n * theta)
 
 
-_basis_cache = LRUCache(8)  # found by cover, not get(): the oldest goes first
-
-
+@functools.lru_cache(maxsize=8)
 def stokes_basis(n_max: int, k_max: int) -> StokesBasis:
-    """Shared basis table covering at least (n_max, k_max)."""
-    for (bn, bk), bas in _basis_cache.items():
-        if bn >= n_max and bk >= k_max:
-            return bas
-    key = (max(n_max, 8), max(k_max, 8))
-    bas = StokesBasis(*key)
-    _basis_cache[key] = bas
-    return bas
+    """The shared basis table of exact size (n_max, k_max), built once."""
+    return StokesBasis(n_max, k_max)

@@ -10,6 +10,7 @@ dense lemma scans stay cheap.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -34,27 +35,6 @@ class BesselDomainError(ValueError):
 
 class ZeroConvergenceError(RuntimeError):
     """Zero refinement failed to converge inside its bracket."""
-
-
-class LRUCache(dict):
-    """A dict of at most maxsize entries: get() marks an entry as used, and
-    a new entry drops the least recently used.  The default bound is above
-    the rows one run uses (135 profile rows in the benchmark sweep)."""
-
-    def __init__(self, maxsize: int = 256):
-        super().__init__()
-        self.maxsize = maxsize
-
-    def get(self, key, default=None):
-        if key in self:
-            self[key] = self.pop(key)
-        return super().get(key, default)
-
-    def __setitem__(self, key, value):
-        self.pop(key, None)
-        super().__setitem__(key, value)
-        if len(self) > self.maxsize:
-            del self[next(iter(self))]
 
 
 def _check_order(n):
@@ -255,10 +235,6 @@ def _block_zeros(n: np.ndarray, k: np.ndarray) -> np.ndarray:
     return x
 
 
-def _zeros_in_range(n_max: int, k_max: int) -> bool:
-    return math.pi * (k_max + 1 + 0.5 * n_max) <= X_MAX  # j_{n,k} < pi (n/2 + k)
-
-
 class ZeroTable:
     """Positive zeros j_{n,k} of J_n for n <= n_max, 1 <= k <= k_max.
 
@@ -268,7 +244,8 @@ class ZeroTable:
     """
 
     def __init__(self, n_max: int, k_max: int):
-        if n_max < 0 or k_max < 1 or not _zeros_in_range(n_max, k_max):
+        # j_{n,k} < pi (n/2 + k), the spare column k_max + 1 included
+        if n_max < 0 or k_max < 1 or math.pi * (k_max + 1 + 0.5 * n_max) > X_MAX:
             raise BesselDomainError(f"need n_max >= 0, k_max >= 1 and zeros below "
                                     f"{X_MAX}, got ({n_max}, {k_max})")
         _check_order(n_max + 1)
@@ -308,19 +285,11 @@ class ZeroTable:
         return self._rows[:, : self.k_max].copy()
 
 
-_table_cache = LRUCache(8)  # found by cover, not get(): the oldest goes first
-
-
+@functools.lru_cache(maxsize=8)
 def zero_table(n_max: int, k_max: int) -> ZeroTable:
-    """Shared zero table covering at least (n_max, k_max)."""
-    for (tn, tk), tab in _table_cache.items():
-        if tn >= n_max and tk >= k_max:
-            return tab
-    key = (max(n_max, 8), max(k_max, 8))
-    key = key if _zeros_in_range(*key) else (n_max, k_max)
-    tab = ZeroTable(*key)
-    _table_cache[key] = tab
-    return tab
+    """The zero table of exact size (n_max, k_max), built once: a table is a
+    function of its size alone, so the memo changes no value."""
+    return ZeroTable(n_max, k_max)
 
 
 def bessel_zero(n: int, k: int) -> float:

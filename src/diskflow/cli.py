@@ -74,7 +74,8 @@ def _expect(cfg: dict, key: str, types, default=None, required=False):
             raise ConfigError(f"config key {key!r} is required")
         return default
     val = cfg[key]
-    if not isinstance(val, types):
+    # exact types: a JSON true is a bool, which isinstance counts as an int
+    if type(val) not in (types if isinstance(types, tuple) else (types,)):
         raise ConfigError(f"config key {key!r} has wrong type: {type(val).__name__}")
     return val
 
@@ -198,7 +199,7 @@ def cmd_sweep(args, outdir: Path) -> tuple[int, dict]:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     cfg = _load_config(args)
     nu_list = _expect(cfg, "nu_list", list, required=True)
-    if not nu_list or any(not isinstance(v, (int, float)) or v <= 0 for v in nu_list):
+    if not nu_list or any(type(v) not in (int, float) or v <= 0 for v in nu_list):
         raise ConfigError("nu_list must be a nonempty list of positive numbers")
     if any(b >= a for a, b in zip(nu_list, nu_list[1:])):
         raise ConfigError("nu_list must be strictly decreasing")

@@ -312,11 +312,13 @@ def _worst(n, k, param, observed, bound, margin) -> tuple:
 
 
 def _report(lemma, n_max, k_max, rows, envelope=False, extra=None):
-    """Rows sorted by margin; an envelope's constant is minus its worst margin."""
-    rows = sorted(rows, key=lambda r: r[5])
-    worst = rows[0]
+    """Rows sorted by margin rounded to _TOL, then (n, k, param), so roundoff
+    moves no row; an envelope's constant is minus its worst margin."""
+    worst = min(rows, key=lambda r: r[5])
     # rows within _TOL of the worst tie up to roundoff: report the first (n, k)
-    at = min((r for r in rows if r[5] <= worst[5] + _TOL), key=lambda r: r[:2])
+    at = min((r for r in rows if r[5] <= worst[5] + _TOL),
+             key=lambda r: (r[0], r[1], r[5]))
+    rows = sorted(rows, key=lambda r: (round(r[5] / _TOL), r[0], r[1], r[2]))
     return LemmaReport(
         lemma=lemma, n_max=n_max, k_max=k_max,
         worst_margin=float(worst[5]),
@@ -336,7 +338,7 @@ def _index_rows(n_max, k_max, square):
 
 
 def _scan_zero_difference(lemma, n_max, k_max, basis):
-    z = zero_table(n_max + 1, k_max).all_rows()[: n_max + 2, :k_max]
+    z = zero_table(n_max + 1, k_max).all_rows()
     diff = z[1:] - z[:-1]
     ks = np.arange(1, k_max + 1)
     rows = [_worst(n, ks, 0.0, d, "(1, pi/2)", np.minimum(d - 1.0, 0.5 * np.pi - d))
@@ -345,7 +347,7 @@ def _scan_zero_difference(lemma, n_max, k_max, basis):
 
 
 def _scan_jnk_range(lemma, n_max, k_max, basis):
-    z = zero_table(n_max, k_max).all_rows()[: n_max + 1, :k_max]
+    z = zero_table(n_max + 1, k_max).all_rows()[: n_max + 1]
     ks = np.arange(1, k_max + 1)
     rows = [_worst(n, ks, 0.0, z[n],
                    [f"({n + k}, {np.pi * (n / 2 + k):.6f})" for k in ks],

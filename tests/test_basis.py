@@ -281,17 +281,14 @@ def test_lru_cache_evicts_least_recently_used():
     assert cache.get("b") is None
 
 
-def test_zero_table_and_basis_caches_are_bounded(monkeypatch):
-    import diskflow.basis
-    import diskflow.bessel
+def test_zero_table_and_basis_caches_are_bounded():
+    from diskflow.basis import stokes_basis
+    from diskflow.bessel import zero_table
 
-    assert diskflow.bessel._table_cache.maxsize == diskflow.basis._basis_cache.maxsize == 8
-    monkeypatch.setattr(diskflow.bessel, "_table_cache", LRUCache(2))
-    monkeypatch.setattr(diskflow.basis, "_basis_cache", LRUCache(2))
-    for k in (9, 10, 11):  # no cached entry covers the next request
-        diskflow.basis.stokes_basis(2, k)
-    assert list(diskflow.basis._basis_cache) == [(8, 10), (8, 11)]
-    assert list(diskflow.bessel._table_cache) == [(9, 10), (9, 11)]
+    assert zero_table.cache_info().maxsize == stokes_basis.cache_info().maxsize == 8
+    for k in range(1, 10):  # nine distinct sizes
+        stokes_basis(2, k)
+    assert zero_table.cache_info().currsize == stokes_basis.cache_info().currsize == 8
 
 
 def test_profile_and_gram_caches_are_bounded():

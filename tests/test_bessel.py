@@ -5,9 +5,9 @@ import pytest
 import scipy.special as sp
 
 import diskflow.bessel
-from diskflow.bessel import (X_MAX, BesselDomainError, LRUCache, ZeroConvergenceError,
-                             ZeroTable, bessel_j, bessel_j_prime, bessel_zero,
-                             compound_decay, jn_trio, zero_table)
+from diskflow.bessel import (X_MAX, BesselDomainError, ZeroConvergenceError, ZeroTable,
+                             bessel_j, bessel_j_prime, bessel_zero, compound_decay,
+                             jn_trio, zero_table)
 from oracles import bisect_zero, central_diff, jn_block, series_jn, trapezoid_radial
 
 
@@ -152,14 +152,13 @@ def test_seed_off_by_a_spacing_raises(monkeypatch, shift):
         ZeroTable(6, 6)
 
 
-def test_zero_table_domain_guard(monkeypatch):
+def test_zero_table_domain_guard():
     # j_{n,k} < pi (n/2 + k) for the spare column k_max + 1 must stay in range
-    monkeypatch.setattr(diskflow.bessel, "_table_cache", LRUCache(8))
     with pytest.raises(BesselDomainError, match="zeros below"):
         zero_table(3, 10**8)
     with pytest.raises(BesselDomainError, match="zeros below"):
         bessel_zero(0, 3184)
-    # pi * 3183 < X_MAX, although the padded table (8, 3182) is out of range
+    # (0, 3182) is in range: its spare column lies below pi * 3183 < X_MAX
     last = bessel_zero(0, 3182)
     assert last == pytest.approx(sp.jn_zeros(0, 3182)[-1], abs=1e-9) and last < X_MAX
 

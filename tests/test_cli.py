@@ -181,6 +181,13 @@ MALFORMED = {
         ["sweep"], {**SWEEP, "schedule": {"b": float("nan")}}, "b must be finite"),
     "sweep-schedule-b-infinite": (
         ["sweep"], {**SWEEP, "schedule": {"b": float("inf")}}, "b must be finite"),
+    # JSON true is a bool, not the number 1
+    "simulate-nu-true": (["simulate"], {**SIM, "nu": True}, "'nu' has wrong type: bool"),
+    "simulate-n-theta-true": (
+        ["simulate"], {**SIM, "n_theta": True}, "'n_theta' has wrong type: bool"),
+    "sweep-nu-list-true": (["sweep"], {**SWEEP, "nu_list": [True]}, "nu_list must be"),
+    "sweep-schedule-c-true": (
+        ["sweep"], {**SWEEP, "schedule": {"c": True}}, "'c' has wrong type: bool"),
 }
 
 
@@ -308,6 +315,44 @@ def test_sweep_reads_relative_init_file_next_to_its_config(tmp_path, monkeypatch
                  "--out", str(tmp_path / "b")]) == 0
     a = (tmp_path / "a" / "diagnostics.csv").read_bytes()
     assert a == (tmp_path / "b" / "diagnostics.csv").read_bytes()
+
+
+# command: (argv, config or None) at truncation n
+HISTORY = {
+    "verify": lambda n: (["verify", "--lemmas", "JRatios,L2omegaGammaBound",
+                          "--n-max", str(n), "--k-max", str(n)], None),
+    "simulate": lambda n: (["simulate"], {"nu": 0.05, "t_end": 0.05, "n_theta": n,
+                                          "n_r": n, "init": "generic"}),
+    "sweep": lambda n: (["sweep"], {
+        "nu_list": [0.04, 0.02, 0.01], "kinds": ["K1", "K3", "N1", "N4", "N7", "gap"],
+        "schedule": {"a": 0.5, "b": 1.5, "gamma": 0.5, "c": 1.0},
+        "sim": {"t_end": 0.5, "n_theta": n, "n_r": n, "init": "generic",
+                "linear": True}}),
+}
+
+
+@pytest.mark.parametrize("command, n_before", [("verify", 20), ("simulate", 16),
+                                               ("sweep", 16)])
+def test_outputs_do_not_depend_on_earlier_commands(tmp_path, command, n_before):
+    def argv(n, out):
+        args, cfg = HISTORY[command](n)
+        if cfg is not None:
+            cfgfile = tmp_path / f"cfg{n}.json"
+            cfgfile.write_text(json.dumps(cfg))
+            args = args + ["--config", str(cfgfile)]
+        return args + ["--out", str(tmp_path / out)]
+
+    main(argv(n_before, "before"))  # leaves larger tables in this process
+    code = main(argv(10, "after"))
+    assert code == 0
+    fresh = subprocess.run([sys.executable, "-m", "diskflow.cli", *argv(10, "fresh")],
+                           capture_output=True, text=True)
+    assert fresh.returncode == code, fresh.stderr
+    names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "after").iterdir())
+    for name in names:
+        assert ((tmp_path / "after" / name).read_bytes()
+                == (tmp_path / "fresh" / name).read_bytes()), name
 
 
 def test_sweep_empty_or_invalid_nu_list(tmp_path):

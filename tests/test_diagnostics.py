@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from diskflow.basis import StokesBasis, stokes_basis
-from diskflow.diagnostics import (CONDITION_KINDS, ScheduleError,
+from diskflow.diagnostics import (CONDITION_KINDS, LEMMA_IDS, ScheduleError,
                                   ScheduleSpec, TraceResolutionError,
                                   TruncationSpec, _report, condition_functional,
                                   residual_trace, truncate, truncate_trace,
@@ -488,3 +490,58 @@ def test_zero_rows_build_no_profile_rows(sched, monkeypatch):
     for kind in CONDITION_KINDS:
         condition_functional(tr, kind, sched, bas)
     assert rows and max(rows) == 2
+
+
+def test_lemma_row_order_survives_a_3_ulp_move_of_the_zeros(monkeypatch):
+    from diskflow.bessel import ZeroTable, zero_table
+
+    def scan():
+        return {lid: verify_lemma(lid, 30, 30).rows for lid in LEMMA_IDS}
+
+    def clear():
+        zero_table.cache_clear()
+        stokes_basis.cache_clear()
+
+    before = scan()
+    build = ZeroTable._build
+    monkeypatch.setattr(ZeroTable, "_build", staticmethod(
+        lambda n_max, cols: build(n_max, cols) * (1.0 + 3.0 * 2.0**-52)))
+    clear()  # the memos must not hand back the unperturbed tables
+    try:
+        after = scan()
+    finally:
+        clear()
+    assert before["JRatios"] != after["JRatios"]  # the move reaches the margins
+    for lid in LEMMA_IDS:
+        assert [r[:2] for r in after[lid]] == [r[:2] for r in before[lid]], lid
+
+
+def test_trapezoid_functionals_bound_the_exact_time_moments(monkeypatch):
+    # an unforced linear trace has exact time moments H_n[k, j] =
+    # Re(conj(g_k) g_j) (1 - exp(-nu (lam_k + lam_j) T)) / (nu (lam_k + lam_j));
+    # on the benchmark sweep the trapezoid rule lies just above them
+    from dataclasses import replace
+
+    from diskflow.solver import SimConfig, simulate
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import SWEEP_CONFIG
+
+    sim, schedule = SWEEP_CONFIG["sim"], ScheduleSpec(**SWEEP_CONFIG["schedule"])
+    bas = stokes_basis(sim["n_theta"], sim["n_r"])
+    lam = bas.lam  # the whole table: the trace keeps every mode
+    for seed in (0, 1):
+        for nu in SWEEP_CONFIG["nu_list"]:
+            tr = simulate(SimConfig(nu=nu, seed=seed, **sim), bas)
+            g0, s = tr.g[0], nu * (lam[:, :, None] + lam[:, None, :])
+            h = (np.conj(g0)[:, :, None] * g0[:, None, :]).real
+            h *= -np.expm1(-s * tr.times[-1]) / s
+            exact = replace(tr)
+            exact.moments = np.stack([h, h])
+            for kind in CONDITION_KINDS:
+                got = condition_functional(tr, kind, schedule, bas)
+                want = condition_functional(exact, kind, schedule, bas)
+                if want == 0.0:
+                    assert got == 0.0, (seed, nu, kind)
+                else:
+                    assert want <= got <= want * (1.0 + 1e-4), (seed, nu, kind)
