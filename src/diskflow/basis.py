@@ -133,13 +133,13 @@ class StokesBasis:
         return profs[quantity]
 
 
-def radial_profiles(n: int, alphas: np.ndarray, c_signed: np.ndarray,
+def radial_profiles(n, alphas: np.ndarray, c_signed: np.ndarray,
                     r: np.ndarray, quantity: str) -> dict[str, np.ndarray]:
     """Real radial factors of the modes (n, alphas) for one quantity.
 
-    The radii r are shared by all modes, shape (Q,), or given per mode,
-    shape (len(alphas), Q).  Returns {quantity: factors of shape
-    (ncomp, len(alphas), Q)}, normalization included; the gradient also
+    The order n and the radii r > 0, shape (Q,), are shared by all K modes,
+    or given per mode as shapes (K,) and (K, Q).  Returns {quantity: factors
+    of shape (ncomp, K, Q)}, normalization included; the gradient also
     returns the velocity, which it computes on the way.  The velocity of a
     mode is (i n R(r), T(r)) exp(i n theta) in polar components; every
     other quantity is built from J_n, R, T and their radial derivatives.
@@ -148,7 +148,8 @@ def radial_profiles(n: int, alphas: np.ndarray, c_signed: np.ndarray,
         raise ValueError(f"unknown quantity {quantity!r}")
     K, Q = alphas.size, r.shape[-1]
     x = (alphas[:, None] * r).ravel()
-    jm1, jn, jp1 = jn_trio(n, x)
+    jm1, jn, jp1 = jn_trio(np.repeat(n, Q) if np.ndim(n) else n, x)
+    n = np.reshape(n, (K, 1)) if np.ndim(n) else n
     jn = jn.reshape(K, Q)
     cs = c_signed[:, None]
     if quantity == "vorticity":
@@ -156,15 +157,11 @@ def radial_profiles(n: int, alphas: np.ndarray, c_signed: np.ndarray,
     jp = (0.5 * (jm1 - jp1)).reshape(K, Q)
     a = alphas[:, None]
     ja = 1.0 / (_SQRT_PI * cs)  # J_n(alpha), signed
-    rn1 = r ** (n - 1) if n >= 1 else np.zeros((1, Q))
-    # r^(n-2) only ever enters multiplied by (n - 1), so n <= 1 never uses it
-    rn2 = r ** (n - 2) if n >= 2 else np.zeros((1, Q))
+    # R and Rp only ever enter multiplied by n, and r^(n-2) by (n - 1), so
+    # the negative powers at n <= 1 (finite for r > 0) drop out of every factor
+    rn1 = r ** (n - 1)
     inv_a2 = 1.0 / (a * a)
-    if n >= 1:
-        R = cs * (jn / r - ja * rn1) * inv_a2
-        Rp = cs * (a * jp / r - jn / r ** 2 - (n - 1) * ja * rn2) * inv_a2
-    else:
-        R = Rp = np.zeros((K, Q))
+    R = cs * (jn / r - ja * rn1) * inv_a2
     T = cs * (n * ja * rn1 - a * jp) * inv_a2
     if quantity == "dtau_utau":
         return {quantity: (n * T / r)[None, :, :]}
@@ -177,6 +174,8 @@ def radial_profiles(n: int, alphas: np.ndarray, c_signed: np.ndarray,
         with np.errstate(divide="ignore", invalid="ignore"):
             xg = a * r
             jpp = -jp / xg + (n * n / (xg * xg) - 1.0) * jn
+        rn2 = r ** (n - 2)
+        Rp = cs * (a * jp / r - jn / r ** 2 - (n - 1) * ja * rn2) * inv_a2
         Tp = cs * (n * (n - 1) * ja * rn2 - a * a * jpp) * inv_a2
         out["gradient"] = np.stack([n * Rp, (-(n * n) * R - T) / r, Tp,
                                     n * (T + R) / r])

@@ -26,7 +26,7 @@ _RESCALE = 1.0e250
 _RESCALE_INV = 1.0e-250
 
 _ZERO_REL_TOL = 1.0e-12  # safeguarded-loop stop; polish steps finish the job
-_ZERO_BLOCK = 1 << 14    # zero-table lanes per batch: bounds its workspace
+_BLOCK = 1 << 14  # lanes per batched Bessel pass: bounds its workspace
 
 
 class BesselDomainError(ValueError):
@@ -66,8 +66,8 @@ def _miller(x: np.ndarray, n: np.ndarray) -> np.ndarray:
         for slot, k in enumerate((abs(o - 1), o, o + 1)):
             stores.setdefault(k, []).append((slot, s, e))
     out = np.zeros((3, p))
-    oexp = np.zeros((3, p), dtype=np.int64)
-    exp = np.zeros(p, dtype=np.int64)
+    oexp = np.zeros((3, p), dtype=np.int16)  # rescale counts: at most ~30
+    exp = np.zeros(p, dtype=np.int16)
     a = np.zeros(p)           # J_{m+1}
     b = np.full(p, 1e-30)     # J_m
     tmp = np.empty(p)
@@ -94,7 +94,8 @@ def _miller(x: np.ndarray, n: np.ndarray) -> np.ndarray:
     out /= b + 2.0 * even_sum  # b now holds J_0 (up to scale)
     if exp.any():
         with np.errstate(under="ignore"):
-            out *= np.power(_RESCALE_INV, (exp - oexp).astype(float))
+            for row, e in zip(out, oexp):  # a row at a time bounds the workspace
+                row *= np.power(_RESCALE_INV, (exp - e).astype(float))
     return out
 
 
@@ -238,7 +239,7 @@ def _block_zeros(n: np.ndarray, k: np.ndarray) -> np.ndarray:
 class ZeroTable:
     """Positive zeros j_{n,k} of J_n for n <= n_max, 1 <= k <= k_max.
 
-    Built in blocks of at most _ZERO_BLOCK lanes (n, k), each refined from
+    Built in blocks of at most _BLOCK lanes (n, k), each refined from
     asymptotic seeds at once; monotone rows and interlacing validate the
     result, and a spare column lets that check cover every public entry.
     """
@@ -257,8 +258,8 @@ class ZeroTable:
     def _build(n_max: int, cols: int) -> np.ndarray:
         size = (n_max + 1) * cols
         zeros = np.empty(size)
-        for s in range(0, size, _ZERO_BLOCK):
-            n, k = np.divmod(np.arange(s, min(s + _ZERO_BLOCK, size)), cols)
+        for s in range(0, size, _BLOCK):
+            n, k = np.divmod(np.arange(s, min(s + _BLOCK, size)), cols)
             zeros[s:s + n.size] = _block_zeros(n, k + 1)
         rows = zeros.reshape(n_max + 1, cols)
         if not (np.diff(rows, axis=1) > 0).all():

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import StokesBasis, radial_profiles, stokes_basis
-from .bessel import compound_decay, jn_trio, zero_table
-from .field import (SpectralCoeffs, _reality_weights, gram, layer_rule,
+from .basis import StokesBasis, stokes_basis
+from .bessel import _BLOCK, compound_decay, jn_trio, zero_table
+from .field import (SpectralCoeffs, _reality_weights, gram, layer_masses, layer_rule,
                     mode_inner_product, norm_sq_series)
 from .solver import SimTrace
 
@@ -303,12 +303,12 @@ def verify_lemma(lemma_id: str, n_max: int = 50, k_max: int = 50,
     return _LEMMA_DISPATCH[lemma_id](lemma_id, n_max, k_max, basis)
 
 
-def _worst(n, k, param, observed, bound, margin) -> tuple:
-    """The scan row (n, k, param, observed, bound, margin) at argmin(margin);
-    each argument is a per-sample array (or list) or one fixed value."""
-    i = int(np.argmin(margin))
-    row = (v[i] if np.ndim(v) else v for v in (n, k, param, observed, bound, margin))
-    return tuple(v.item() if isinstance(v, np.generic) else v for v in row)
+def _worst(n, k, param, observed, bound, margin) -> list[tuple]:
+    """Per row of margin (rows, samples), the scan row (n, k, param, observed,
+    bound, margin) at its argmin; the other arguments broadcast to margin."""
+    i = np.argmin(margin, axis=-1)[:, None]
+    return list(zip(*(np.take_along_axis(np.broadcast_to(v, margin.shape), i, -1)[:, 0]
+                      .tolist() for v in (n, k, param, observed, bound, margin))))
 
 
 def _report(lemma, n_max, k_max, rows, envelope=False, extra=None):
@@ -330,29 +330,28 @@ def _report(lemma, n_max, k_max, rows, envelope=False, extra=None):
     )
 
 
-def _index_rows(n_max, k_max, square):
-    """(n, k = 1..K) per row: the whole square, or the triangle k <= n of
-    the checks stated for n >= 1 only."""
-    for n in range(0 if square else 1, n_max + 1):
-        yield n, np.arange(1, (k_max if square else min(n, k_max)) + 1)
+def _index_modes(n_max, k_max, square):
+    """The modes (n, k) as flat arrays, row by row: the whole square, or the
+    triangle k <= n of the checks stated for n >= 1 only."""
+    n, k = np.divmod(np.arange((n_max + 1) * k_max), k_max)
+    keep = square | (k < n)
+    return n[keep], k[keep] + 1
 
 
 def _scan_zero_difference(lemma, n_max, k_max, basis):
     z = zero_table(n_max + 1, k_max).all_rows()
-    diff = z[1:] - z[:-1]
-    ks = np.arange(1, k_max + 1)
-    rows = [_worst(n, ks, 0.0, d, "(1, pi/2)", np.minimum(d - 1.0, 0.5 * np.pi - d))
-            for n, d in enumerate(diff)]
+    d = z[1:] - z[:-1]
+    rows = _worst(np.arange(n_max + 1)[:, None], np.arange(1, k_max + 1), 0.0, d,
+                  "(1, pi/2)", np.minimum(d - 1.0, 0.5 * np.pi - d))
     return _report(lemma, n_max, k_max, rows)
 
 
 def _scan_jnk_range(lemma, n_max, k_max, basis):
     z = zero_table(n_max + 1, k_max).all_rows()[: n_max + 1]
-    ks = np.arange(1, k_max + 1)
-    rows = [_worst(n, ks, 0.0, z[n],
-                   [f"({n + k}, {np.pi * (n / 2 + k):.6f})" for k in ks],
-                   np.minimum(z[n] - (n + ks), np.pi * (n / 2.0 + ks) - z[n]))
-            for n in range(n_max + 1)]
+    n, k = np.arange(n_max + 1)[:, None], np.arange(1, k_max + 1)
+    rows = _worst(n, k, 0.0, z, [[f"({a + b}, {np.pi * (a / 2 + b):.6f})" for b in k]
+                                 for a in range(n_max + 1)],
+                  np.minimum(z - (n + k), np.pi * (n / 2.0 + k) - z))
     return _report(lemma, n_max, k_max, rows)
 
 
@@ -370,48 +369,36 @@ _RATIO_SCANS = {
 def _scan_ratios(lemma, n_max, k_max, basis):
     entry, x_hi, bound = _RATIO_SCANS[lemma]
     envelope = isinstance(bound, str)
-    rows = []
-    for n, kk in _index_rows(n_max, k_max, not envelope):
-        a = basis.alpha[n, kk - 1]
-        x = np.linspace(basis.beta[n, kk - 1] / a + 1e-9, x_hi, _X_SAMPLES, axis=-1)
-        jm = np.abs(jn_trio(n, (a[:, None] * x).ravel())[entry].reshape(x.shape))
-        ja = np.abs(basis.j_at_alpha[n, kk - 1])[:, None]
-        ratio = jm / (ja * n * (1.0 - x) if entry == 2 else ja)
+    modes = _index_modes(n_max, k_max, not envelope)
+    rows, per = [], _BLOCK // _X_SAMPLES  # one Bessel pass of at most _BLOCK lanes
+    for s in range(0, modes[0].size, per):
+        n, k = (v[s:s + per] for v in modes)
+        a = basis.alpha[n, k - 1]
+        x = np.linspace(basis.beta[n, k - 1] / a + 1e-9, x_hi, _X_SAMPLES, axis=-1)
+        jm = np.abs(jn_trio(np.repeat(n, _X_SAMPLES), (a[:, None] * x).ravel())[entry])
+        ja = np.abs(basis.j_at_alpha[n, k - 1])[:, None]
+        ratio = jm.reshape(x.shape) / (ja * n[:, None] * (1.0 - x) if entry == 2 else ja)
         margin = -ratio if envelope else bound - ratio
-        rows += [_worst(n, k, xk, rk, bound, mk)
-                 for k, xk, rk, mk in zip(kk, x, ratio, margin)]
+        rows += _worst(n[:, None], k[:, None], x, ratio, bound, margin)
     return _report(lemma, n_max, k_max, rows, envelope)
 
 
-def _layer_mass(basis: StokesBasis, n: int, kk: np.ndarray, deltas: np.ndarray,
-                quantity: str) -> np.ndarray:
-    """Squared layer norms of the modes (n, kk) for the widths deltas[k, d].
-
-    The whole row takes one Bessel pass, on one layer_rule node count.
-    """
-    alphas = basis.alpha[n, kk - 1]
-    r, w = layer_rule(deltas, alphas)
-    prof = radial_profiles(n, alphas, basis.c_signed[n, kk - 1],
-                           r.reshape(kk.size, -1), quantity)[quantity]
-    dens = np.sum(prof ** 2, axis=0).reshape(r.shape)
-    return 2.0 * np.pi * np.sum(w * dens, axis=-1)
-
-
-# lemma: (quantity, layer widths deltas[k, d] of a row from its zeros a and
-# its first zero a1).  The vorticity mass is bounded by 2 delta; the
-# velocity mass by C1 delta^3, an envelope.  The general vorticity widths
-# stay below lam_{n1}^{-1/2} / (2 pi): this is the range the underlying
-# zero-ratio argument supports (the ratio of the n-th to the first zero in
-# a row is at most 2 pi, which brings every mode with k <= n back to the
-# single-mode layer bound).  The wider printed range 2 pi * lam_{n1}^{-1/2}
-# fails numerically already at (n, k) = (20, 1) and is reported as an
-# exploratory extra only.  The velocity widths stay deep inside the cap
-# c2 / alpha_1 so the cubic leading order dominates the slope fit.
+# lemma: (quantity, layer widths deltas[mode, d] from the columns of the
+# modes' zeros a and their rows' first zeros a1).  The vorticity mass is
+# bounded by 2 delta; the velocity mass by C1 delta^3, an envelope.  The
+# general vorticity widths stay below lam_{n1}^{-1/2} / (2 pi): this is the
+# range the underlying zero-ratio argument supports (the ratio of the n-th
+# to the first zero in a row is at most 2 pi, which brings every mode with k
+# <= n back to the single-mode layer bound).  The wider printed range 2 pi *
+# lam_{n1}^{-1/2} fails numerically already at (n, k) = (20, 1) and is
+# reported as an exploratory extra only.  The velocity widths stay deep
+# inside the cap c2 / alpha_1 so the cubic leading order dominates the slope
+# fit.
 _U_LAYER_C2 = 0.5
 _LAYER_SCANS = {
     "L2omegaGammaBound": (
         "vorticity",
-        lambda a, a1: np.geomspace(1e-4, 1.0, _DELTA_SAMPLES) / a[:, None]),
+        lambda a, a1: np.geomspace(1e-4, 1.0, _DELTA_SAMPLES) / a),
     "L2omegaGammaBoundGeneral": (
         "vorticity",
         lambda a, a1: np.geomspace(1e-3, 1.0, _DELTA_SAMPLES)
@@ -425,31 +412,26 @@ _LAYER_SCANS = {
 def _scan_layers(lemma, n_max, k_max, basis):
     quantity, widths = _LAYER_SCANS[lemma]
     envelope = quantity == "velocity"
-    rows, slopes, printed_worst = [], [], 0.0
-    for n, kk in _index_rows(n_max, k_max, lemma == "L2omegaGammaBound"):
-        deltas = np.broadcast_to(widths(basis.alpha[n, kk - 1], basis.alpha[n, 0]),
-                                 (kk.size, _DELTA_SAMPLES))
-        mass = _layer_mass(basis, n, kk, deltas, quantity)
-        if envelope:
-            rows += [_worst(n, k, d, m, "C1*delta^3", -m / d**3)
-                     for k, d, m in zip(kk, deltas, mass)]
-            slopes += [float(np.polyfit(np.log(d), np.log(m), 1)[0])
-                       for d, m in zip(deltas, mass)]
-        else:
-            rows += [_worst(n, k, d, m, 2.0 * d, 2.0 * d - m)
-                     for k, d, m in zip(kk, deltas, mass)]
-        if lemma == "L2omegaGammaBoundGeneral":
-            cap = min(2.0 * np.pi / basis.alpha[n, 0], 0.999)
-            dp = np.broadcast_to(np.geomspace(0.05, 1.0, 4) * cap, (kk.size, 4))
-            mp = _layer_mass(basis, n, kk, dp, quantity)
-            printed_worst = max(printed_worst, float(np.max(mp - 2.0 * dp)))
+    n, k = (v[:, None] for v in _index_modes(n_max, k_max, lemma == "L2omegaGammaBound"))
+    a1 = basis.alpha[n, 0]
+    deltas = widths(basis.alpha[n, k - 1], a1)
+    if lemma == "L2omegaGammaBoundGeneral":  # the printed range rides along
+        deltas = np.hstack([deltas, np.geomspace(0.05, 1.0, 4)
+                            * np.minimum(2.0 * np.pi / a1, 0.999)])
+    mass = layer_masses(basis, n, k, deltas, quantity)[0].reshape(deltas.shape)
+    d, m = deltas[:, :_DELTA_SAMPLES], mass[:, :_DELTA_SAMPLES]
     extra = None
     if envelope:
+        rows = _worst(n, k, d, m, "C1*delta^3", -m / d**3)
+        slopes = [float(np.polyfit(np.log(dk), np.log(mk), 1)[0]) for dk, mk in zip(d, m)]
         extra = {"c2": _U_LAYER_C2, "slope_median": statistics.median(slopes),
                  "slope_min": float(np.min(slopes)),
                  "slope_max": float(np.max(slopes))}
-    elif lemma == "L2omegaGammaBoundGeneral":
-        extra = {"printed_range_worst_excess": printed_worst}
+    else:
+        rows = _worst(n, k, d, m, 2.0 * d, 2.0 * d - m)
+        if deltas.shape[1] > _DELTA_SAMPLES:
+            excess = mass[:, _DELTA_SAMPLES:] - 2.0 * deltas[:, _DELTA_SAMPLES:]
+            extra = {"printed_range_worst_excess": max(0.0, float(np.max(excess)))}
     return _report(lemma, n_max, k_max, rows, envelope, extra)
 
 
@@ -473,20 +455,19 @@ def _scan_cross_inner_products(lemma, n_max, k_max, basis):
     m, j, n, k, delta = _cross_pairs(n_max, k_max)
     v = np.maximum(*(np.abs(mode_inner_product(basis, (m, j), (n, k), q, delta))
                      for q in ("vorticity", "velocity")))
-    rows = [_worst(mp, jp, dp, vp, 0.0, -vp) for mp, jp, dp, vp in zip(m, j, delta, v)]
+    rows = _worst(*(c[:, None] for c in (m, j, delta, v)), 0.0, -v[:, None])
     rep = _report(lemma, n_max, k_max, rows)
     rep.passed = bool(rep.worst_margin >= -1e-12)
     return rep
 
 
 def _scan_useful_function(lemma, n_max, k_max, basis):
-    rows = []
     x = np.concatenate([[1.0], np.geomspace(1.0 + 1e-9, 1e6, _X_SAMPLES)])
-    for alpha in np.linspace(0.05, 0.95, 19):
-        g = compound_decay(float(alpha), x)
-        rows.append(_worst(0, 0, float(alpha), g,
-                           f"[{1 - alpha:.3f}, {math.exp(-alpha):.6f})",
-                           np.minimum(g - (1.0 - alpha), np.exp(-alpha) - g)))
+    alpha = np.linspace(0.05, 0.95, 19)
+    g = np.array([compound_decay(a, x) for a in alpha.tolist()])
+    a = alpha[:, None]
+    rows = _worst(0, 0, a, g, [[f"[{1 - v:.3f}, {math.exp(-v):.6f})"] for v in alpha],
+                  np.minimum(g - (1.0 - a), np.exp(-a) - g))
     return _report(lemma, n_max, k_max, rows)
 
 

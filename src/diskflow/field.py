@@ -17,9 +17,11 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .basis import PHASES, QUANTITIES, StokesBasis, radial_profiles
-from .bessel import jn_trio
+from .bessel import _BLOCK, jn_trio
 
 _RULE_TOL = 1.0e-11
+_MASS_TOL = 1.0e-11  # above the velocity's cancellation floor, 7.5e-13 at 48 nodes
+_MASS_MAX_NODES = 1024
 
 
 class GridError(ValueError):
@@ -94,9 +96,9 @@ def build_grid(n_radial, n_angular: int, r_lo: float = 0.0,
 def radial_rule(r_lo: float, alpha_max: float, n_start: int = 48) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule (r, w) on (r_lo, 1) for mode products up to alpha_max with
     the fewest nodes >= n_start that pass _resolves: doubling finds a bracket,
-    bisection the count.  Every validated node count comes from here; 48
-    stays the floor: at delta = 0.01, n = 24 the J_0 check passes at 4 nodes,
-    which miss the layer norms by up to 2e-7 relative."""
+    bisection the count.  The J_0 check passes 4 nodes at delta = 0.01, n =
+    24, which miss the layer norms by 2e-7 relative, so 48 is the floor here;
+    layer_masses sizes the lemma scans' rules by self-convergence instead."""
     if not (np.isfinite(r_lo) and np.isfinite(alpha_max)):
         raise GridError(f"radial rule needs finite r_lo and alpha, got "
                         f"({r_lo}, {alpha_max})")
@@ -121,6 +123,55 @@ def layer_rule(delta, alphas) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"layer width {delta[~ok].flat[0]} outside (0, 1]")
     rule = radial_rule(1.0 - float(delta.max()), float(np.max(alphas)))
     return rule if delta.ndim == 0 else _gauss_radial(rule[0].size, 1.0 - delta[..., None])
+
+
+def _lane_masses(basis: StokesBasis, n, k, delta, quantity: str, q) -> np.ndarray:
+    """2 pi int sum_c P_c(r)^2 r dr over 1 - delta[i] < r < 1 for the radial
+    factors P of the modes (n[i], k[i]) on q[i]-node Gauss rules: one Bessel
+    pass per block of whole lanes of at most _BLOCK nodes."""
+    mass, end = np.empty(q.size), np.cumsum(q)
+    lo = 0
+    while lo < q.size:
+        b = slice(lo, int(np.searchsorted(end, end[lo] - q[lo] + _BLOCK, side="right")))
+        at = np.cumsum(q[b]) - q[b]
+        r, w = np.empty((2, int(q[b].sum())))
+        for c in set(q[b].tolist()):
+            sel = np.flatnonzero(q[b] == c)
+            idx = at[sel, None] + np.arange(c)
+            r[idx], w[idx] = _gauss_radial(c, 1.0 - delta[b][sel, None])
+        nl, jl = np.repeat(n[b], q[b]), np.repeat(k[b] - 1, q[b])
+        prof = radial_profiles(nl, basis.alpha[nl, jl], basis.c_signed[nl, jl],
+                               r[:, None], quantity)[quantity]
+        mass[b] = 2.0 * np.pi * np.add.reduceat(w * np.sum(prof[:, :, 0] ** 2, axis=0), at)
+        lo = b.stop
+    return mass
+
+
+def layer_masses(basis: StokesBasis, n, k, delta,
+                 quantity: str) -> tuple[np.ndarray, np.ndarray]:
+    """Squared norms of the modes (n, k) over the layers 1 - delta < r < 1,
+    arrays that broadcast to lanes, and each lane's Gauss node count.  From q
+    = 4 + ceil(alpha delta / 2), a lane's q- and ceil(1.5 q)-node masses come
+    from one Bessel pass; it keeps the finer once they agree to _MASS_TOL
+    relative (self-convergence: Davis & Rabinowitz, Methods of Numerical
+    Integration, 4.8), else reruns at ceil(1.5 q), up to _MASS_MAX_NODES."""
+    n, k, delta = (np.ravel(v) for v in np.broadcast_arrays(n, k, delta))
+    q = 4 + np.ceil(0.5 * basis.alpha[n, k - 1] * delta).astype(int)
+    mass, todo = np.empty(n.size), np.arange(n.size)
+    while todo.size:
+        fine = (3 * q[todo] + 1) // 2
+        if fine.max() > _MASS_MAX_NODES:
+            i = todo[np.argmax(fine)]
+            raise GridError(f"layer mass of mode ({n[i]}, {k[i]}) at width {delta[i]:.6g} "
+                            f"not converged at {_MASS_MAX_NODES} nodes")
+        two = np.repeat(todo, 2)  # each lane at q and at ceil(1.5 q) nodes
+        m = _lane_masses(basis, n[two], k[two], delta[two], quantity,
+                         np.stack([q[todo], fine], axis=1).ravel()).reshape(-1, 2)
+        ok = np.abs(m[:, 0] - m[:, 1]) <= _MASS_TOL * np.abs(m[:, 1])
+        mass[todo[ok]] = m[ok, 1]
+        q[todo] = fine
+        todo = todo[~ok]
+    return mass, q
 
 
 @dataclass
@@ -364,7 +415,7 @@ def mode_inner_product(basis: StokesBasis, mode_a, mode_b,
     numerically rather than assumed.  The orders and indices of mode_a and
     mode_b, and delta, may also be arrays that broadcast to P pairs; the
     result is then an array of P inner products, evaluated with one
-    radial_profiles call per angular order.
+    radial_profiles call per side of the pairs.
     """
     scalar = all(np.ndim(v) == 0 for v in (*mode_a, *mode_b, delta))
     m, j, n, k, delta = np.broadcast_arrays(*np.atleast_1d(*mode_a, *mode_b, delta))
@@ -372,13 +423,9 @@ def mode_inner_product(basis: StokesBasis, mode_a, mode_b,
     for o, i in zip(orders.tolist(), idx.tolist()):
         basis._check(o, i)
     r, w = layer_rule(delta, basis.alpha)
-    prof = np.empty((QUANTITIES[quantity], orders.size, r.shape[-1]))
-    for o in set(orders.tolist()):
-        sel = orders == o
-        prof[:, sel] = radial_profiles(  # lane i has the radii of pair i mod P
-            o, basis.alpha[o, idx[sel] - 1], basis.c_signed[o, idx[sel] - 1],
-            r[np.flatnonzero(sel) % m.size], quantity)[quantity]
-    rad = np.sum(w * prof[:, : m.size] * prof[:, m.size:], axis=(0, 2))  # phases cancel
+    pa, pb = (radial_profiles(o, basis.alpha[o, i - 1], basis.c_signed[o, i - 1], r,
+                              quantity)[quantity] for o, i in ((m, j), (n, k)))
+    rad = np.sum(w * pa * pb, axis=(0, 2))  # phases cancel
     na = 2 * np.maximum(m, n) + 4
     ang = np.array([np.sum(np.exp(1j * d * (2.0 * np.pi * np.arange(a) / a)))
                     * (2.0 * np.pi / a) for d, a in zip((m - n).tolist(), na.tolist())])

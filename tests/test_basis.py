@@ -3,7 +3,7 @@ import pytest
 import scipy.special as sp
 
 from diskflow.basis import (PHASES, QUANTITIES, LRUCache, StokesBasis, pair_profile,
-                            radial_profiles, velocity_eval,
+                            radial_profiles, stokes_basis, velocity_eval,
                             velocity_gradient_eval, vorticity_eval)
 from diskflow.bessel import BesselDomainError
 from oracles import bisect_zero, series_jn, trapezoid_radial
@@ -252,6 +252,23 @@ def test_radial_profiles_on_per_mode_radii_match_pair_profile(basis13, n, quanti
         single = pair_profile(basis13.pair(n, int(k)), r[i], quantity)
         np.testing.assert_allclose(prof[:, i], single, rtol=0,
                                    atol=1e-14 * np.abs(prof).max())
+
+
+@pytest.mark.parametrize("quantity", sorted(PHASES))
+def test_radial_profiles_take_one_order_per_mode(quantity):
+    bas = stokes_basis(24, 24)
+    orders, kk = np.array([0, 1, 2, 24, 0, 24, 1, 2]), np.array([1, 3, 5, 24, 24, 1, 7, 2])
+    r = np.linspace(0.05, 1.0, 40)
+    mixed = radial_profiles(orders, bas.alpha[orders, kk - 1], bas.c_signed[orders, kk - 1],
+                            r, quantity)[quantity]
+    for i, (n, k) in enumerate(zip(orders.tolist(), kk.tolist())):
+        single = radial_profiles(n, bas.alpha[n, [k - 1]], bas.c_signed[n, [k - 1]],
+                                 r, quantity)[quantity][:, 0]
+        np.testing.assert_allclose(mixed[:, i], single, rtol=1e-14,
+                                   atol=1e-14 * np.abs(single).max())
+    # n = 0 has no radial velocity and no angular derivative, exactly
+    if quantity in ("velocity", "dtau_un"):
+        assert not mixed[0, orders == 0].any()
 
 
 @pytest.mark.parametrize("quantity", sorted(PHASES))

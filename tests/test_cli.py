@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -239,6 +240,19 @@ def test_zero_convergence_failure_exits_3(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "z")]) == 3
     assert ("diskflow zeros: zero refinement stalled for order 3"
             in capsys.readouterr().err)
+
+
+def test_unconverged_layer_mass_exits_2_naming_the_lane(tmp_path, capsys, monkeypatch):
+    import diskflow.field
+
+    # no two Gauss counts agree to 0, so every lane climbs to the node cap
+    monkeypatch.setattr(diskflow.field, "_MASS_TOL", 0.0)
+    assert main(["verify", "--lemmas", "L2omegaGammaBound", "--n-max", "2",
+                 "--k-max", "2", "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"diskflow verify: layer mass of mode \(\d+, \d+\) at width "
+                        r"[0-9.e-]+ not converged at 1024 nodes", err[0])
 
 
 def test_unwritable_output_exits_4(tmp_path, capsys):

@@ -318,6 +318,27 @@ def test_jratios_worst_at_ignores_roundoff(bas):
         assert again.worst_margin == min(row[5] for row in rows)
 
 
+@pytest.mark.parametrize("lemma, calls", [("JRatios", 10), ("L2omegaGammaBound", None)])
+def test_lemma_scans_pass_at_most_a_block_of_lanes_to_the_bessel_kernel(
+        lemma, calls, monkeypatch):
+    import diskflow.basis
+    import diskflow.diagnostics
+    from diskflow.bessel import _BLOCK, jn_trio
+
+    basis = stokes_basis(30, 30)
+    lanes = []
+
+    def spy(n, x):
+        lanes.append(np.size(x))
+        return jn_trio(n, x)
+
+    for module in (diskflow.basis, diskflow.diagnostics):
+        monkeypatch.setattr(module, "jn_trio", spy)
+    verify_lemma(lemma, 30, 30, basis)
+    assert lanes and max(lanes) <= _BLOCK == 1 << 14
+    assert calls is None or len(lanes) == calls
+
+
 def test_zero_difference_example_values(bas):
     rep = verify_lemma("ZeroDifference", 3, 3)
     d = 3.831705970207512 - 2.404825557695773

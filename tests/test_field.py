@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from diskflow.basis import stokes_basis
-from diskflow.field import (FieldSample, GridError, SpectralCoeffs, _gauss_radial,
-                            build_grid, inner_product, layer_rule,
+from diskflow.basis import QUANTITIES, pair_profile, stokes_basis
+from diskflow.field import (_MASS_TOL, FieldSample, GridError, SpectralCoeffs,
+                            _gauss_radial, _lane_masses, _resolves, build_grid,
+                            inner_product, layer_masses, layer_rule,
                             mode_inner_product, norm_l2, norm_sq_series, project,
                             radial_rule, synthesize)
 from oracles import trapezoid_radial
@@ -373,3 +374,20 @@ def test_radial_rule_rejects_non_finite_input_at_once(r_lo, alpha, monkeypatch):
     monkeypatch.setattr(diskflow.field, "_resolves", None)  # any check would fail
     with pytest.raises(GridError, match="finite"):
         radial_rule(r_lo, alpha)
+
+
+def test_layer_masses_reject_the_thin_layer_count_the_j0_check_passes():
+    # at delta = 0.01 the J_0 check of radial_rule passes 4 nodes for the
+    # largest alpha of the (24, 24) table, but the 4-node mass of dtau_un at
+    # (12, 24) misses its 6-node mass by 6.3e-7 relative
+    bas = stokes_basis(24, 24)
+    assert _resolves(4, float(bas.alpha.max()), 0.99)
+    m4, m6 = _lane_masses(bas, np.array([12, 12]), np.array([24, 24]),
+                          np.full(2, 0.01), "dtau_un", np.array([4, 6]))
+    assert abs(m4 - m6) > 5e-7 * m6 > _MASS_TOL * m6
+    r, w = _gauss_radial(200, 0.99)
+    for quantity in QUANTITIES:
+        mass, count = layer_masses(bas, 12, 24, 0.01, quantity)
+        dens = np.sum(pair_profile(bas.pair(12, 24), r, quantity) ** 2, axis=0)
+        assert mass[0] == pytest.approx(2.0 * np.pi * np.dot(w, dens), rel=1e-12, abs=0)
+        assert count[0] > 6
