@@ -118,7 +118,8 @@ class StokesBasis:
         component c of the quantity of mode (n, k) at (r, theta) is
         PHASES[quantity][c] * profile[c, k-1, :] * exp(i n theta).  Rows are
         cached per (n, quantity, k_max, r), least recently used dropped first;
-        a gradient row also caches the velocity row of its Bessel pass.
+        a velocity row also caches the vorticity row of its Bessel pass, and
+        a gradient row both.
         """
         k_max = self.k_max if k_max is None else k_max
         self._check(n, max(k_max, 1))
@@ -139,10 +140,11 @@ def radial_profiles(n, alphas: np.ndarray, c_signed: np.ndarray,
 
     The order n and the radii r > 0, shape (Q,), are shared by all K modes,
     or given per mode as shapes (K,) and (K, Q).  Returns {quantity: factors
-    of shape (ncomp, K, Q)}, normalization included; the gradient also
-    returns the velocity, which it computes on the way.  The velocity of a
-    mode is (i n R(r), T(r)) exp(i n theta) in polar components; every
-    other quantity is built from J_n, R, T and their radial derivatives.
+    of shape (ncomp, K, Q)}, normalization included; the velocity also
+    returns the vorticity, and the gradient both, which they compute on the
+    way.  The velocity of a mode is (i n R(r), T(r)) exp(i n theta) in polar
+    components; every other quantity is built from J_n, R, T and their
+    radial derivatives.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
@@ -152,8 +154,9 @@ def radial_profiles(n, alphas: np.ndarray, c_signed: np.ndarray,
     n = np.reshape(n, (K, 1)) if np.ndim(n) else n
     jn = jn.reshape(K, Q)
     cs = c_signed[:, None]
+    vort = {"vorticity": (cs * jn)[None, :, :]}
     if quantity == "vorticity":
-        return {quantity: (cs * jn)[None, :, :]}
+        return vort
     jp = (0.5 * (jm1 - jp1)).reshape(K, Q)
     a = alphas[:, None]
     ja = 1.0 / (_SQRT_PI * cs)  # J_n(alpha), signed
@@ -167,7 +170,7 @@ def radial_profiles(n, alphas: np.ndarray, c_signed: np.ndarray,
         return {quantity: (n * T / r)[None, :, :]}
     if quantity == "dtau_un":
         return {quantity: (-(n * n) * R / r)[None, :, :]}
-    out = {"velocity": np.stack([n * R, T])}
+    out = {"velocity": np.stack([n * R, T]), **vort}
     if quantity == "gradient":
         # Entries of the polar velocity gradient in the orthonormal frame:
         # [d_r u^r, (1/r) d_th u^r - u^th/r; d_r u^th, (1/r) d_th u^th + u^r/r]

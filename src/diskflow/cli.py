@@ -14,8 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .basis import StokesBasis, stokes_basis
 from .bessel import ZeroConvergenceError, zero_table
@@ -37,20 +35,12 @@ class ConfigError(ValueError):
     pass
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return str(x)
-
-
 def _write_csv(path: Path, header, rows) -> None:
+    # csv writes str(x), which is repr(float(x)) for every float64
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(header)
-        for row in rows:
-            wr.writerow([_fmt(v) for v in row])
+        wr.writerows(rows)
 
 
 def _load_config(args) -> dict:

@@ -251,9 +251,8 @@ class Transform:
         self.nt, self.na = nt, na
         # synthesis keeps every m-th of m * na angles: row nt is below Nyquist
         self.m = -(-(2 * nt + 2) // na)
-        # last quantity first: a gradient Bessel pass also fills velocity rows
         self.rows = {q: [basis.profile_matrix(n, r, q, k_max=nr) for n in range(nt + 1)]
-                     for q in reversed(quantities)}
+                     for q in quantities}
         # synthesis factors (component * q, k) and the first quantity's weighted
         # projection factors (k, component * q), filled per n to bound peak memory
         self.phase = np.array(sum((PHASES[q] for q in quantities), ()))[:, None]

@@ -419,6 +419,29 @@ def test_verify_pass_and_exit_codes(tmp_path):
     assert summary["ZeroDifference"]["passed"] is True
 
 
+def test_csv_float_cells_are_shortest_round_trip_reprs(tmp_path):
+    cfgfile = _write_sim_config(tmp_path, n_theta=4, n_r=4, init="generic",
+                                linear=False)
+    assert main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "s")]) == 0
+    assert main(["verify", "--n-max", "4", "--k-max", "4",
+                 "--out", str(tmp_path / "v")]) == 0
+    checked = 0
+    for path, int_cols in ((tmp_path / "s" / "trace.csv", ()),
+                           (tmp_path / "v" / "lemmas.csv", ("n", "k"))):
+        for row in read_csv(path):
+            for col, cell in row.items():
+                if col in int_cols:
+                    assert cell == str(int(cell)), (path.name, col, cell)
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:  # lemma names and envelope bounds
+                    continue
+                assert cell == repr(value), (path.name, col, cell)
+                checked += 1
+    assert checked > 500
+
+
 def test_verify_envelope_only_has_no_verdict(tmp_path):
     out = tmp_path / "ve"
     code = main(["verify", "--lemmas", "Jnp1Ratios", "--n-max", "6",

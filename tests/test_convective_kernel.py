@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from diskflow.basis import PHASES, StokesBasis, stokes_basis
-from diskflow.field import SpectralCoeffs
+from diskflow import solver
+from diskflow.field import SpectralCoeffs, _gauss_radial
 from diskflow.solver import (SimConfig, _Engine, make_initial, nonlinear_coeffs,
                              simulate)
 
@@ -72,4 +73,15 @@ def test_only_nonlinear_runs_build_profile_rows(monkeypatch, linear):
     if linear:
         assert calls == []
     else:
-        assert {q for _, q in calls} == {"velocity", "gradient"}
+        assert {q for _, q in calls} == {"velocity", "vorticity"}
+
+
+@pytest.mark.parametrize("q", [8, 16, 24])
+def test_flux_vanishes_on_underresolved_radial_rules(monkeypatch, q):
+    # the engine's own rule takes 58 nodes here; the flux must not lean on it
+    monkeypatch.setattr(solver, "radial_rule", lambda r_lo, alpha: _gauss_radial(q, r_lo))
+    eng = _Engine(SimConfig(nu=1.0, t_end=1.0, n_theta=12, n_r=12), stokes_basis(12, 12))
+    assert eng.r.size == q
+    g = make_initial("generic", 12, 12, seed=3).g
+    u2, w2 = eng.norms(g)
+    assert abs(eng.flux(g, eng.convective(g))) <= 1e-14 * u2 * np.sqrt(w2)

@@ -45,7 +45,7 @@ def test_engine_transform_matches_field_synthesis(case):
     grid = PolarGrid(r=eng.r, w=eng.w, n_angular=eng.na, r_lo=0.0)
     c = SpectralCoeffs(g=draw_state(nt, nr, seed))
     phys = eng.tf.synthesize(c.g).transpose(1, 0, 2)
-    for part, quantity in ((phys[:2], "velocity"), (phys[2:], "gradient")):
+    for part, quantity in ((phys[:2], "velocity"), (phys[2:], "vorticity")):
         want = synthesize(c, grid, BASIS, quantity).values
         assert np.abs(part - want).max() <= 1e-13 * np.abs(want).max()
 
