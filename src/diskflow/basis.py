@@ -36,7 +36,8 @@ QUANTITIES = {q: len(ph) for q, ph in PHASES.items()}
 class LRUCache(dict):
     """A dict of at most maxsize entries: get() marks an entry as used, and
     a new entry drops the least recently used.  The default bound is above
-    the rows one run uses (135 profile rows in the benchmark sweep)."""
+    the profile rows one run uses (66 in the benchmark's nonlinear run; its
+    sweep builds none)."""
 
     def __init__(self, maxsize: int = 256):
         super().__init__()
@@ -89,7 +90,8 @@ class StokesBasis:
         with np.errstate(divide="ignore", invalid="ignore"):
             self.d_const = np.where(ns >= 1, -self.lam * self.j_at_alpha / ns, np.nan)
         self._profile_cache = LRUCache()
-        self._gram_cache = LRUCache()  # filled by field.gram
+        # filled by field.gram; holds the five stacks of one trace's functionals
+        self._gram_cache = LRUCache(8)
 
     def _check(self, n: int, k: int) -> None:
         if not (0 <= n <= self.n_max):
@@ -116,10 +118,11 @@ class StokesBasis:
 
         Returns a real array of shape (ncomp, k_max, r.size) such that
         component c of the quantity of mode (n, k) at (r, theta) is
-        PHASES[quantity][c] * profile[c, k-1, :] * exp(i n theta).  Rows are
-        cached per (n, quantity, k_max, r), least recently used dropped first;
-        a velocity row also caches the vorticity row of its Bessel pass, and
-        a gradient row both.
+        PHASES[quantity][c] * profile[c, k-1, :] * exp(i n theta).  These are
+        field.Transform's rows, cached per (n, quantity, k_max, r), least
+        recently used dropped first; a velocity row also caches the vorticity
+        row of its Bessel pass, and a gradient row both.  The layer Grams
+        (field.gram) take their factors from radial_profiles directly.
         """
         k_max = self.k_max if k_max is None else k_max
         self._check(n, max(k_max, 1))

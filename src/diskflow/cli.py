@@ -253,14 +253,12 @@ def cmd_verify(args, outdir: Path) -> tuple[int, dict]:
     all_pass = True
     for lid in ids:
         rep = verify_lemma(lid, args.n_max, args.k_max)
-        for row in rep.csv_rows():
-            rows.append((row["lemma"], row["n"], row["k"], row["param"],
-                         row["observed"], row["bound"], row["margin"]))
+        rows.extend((rep.lemma, *row) for row in rep.rows)
         summary[lid] = {
             "passed": rep.passed,
             "worst_margin": rep.worst_margin,
             "constant": rep.constant,
-            **{k: v for k, v in rep.extra.items()},
+            **rep.extra,
         }
         if rep.passed is False:
             all_pass = False

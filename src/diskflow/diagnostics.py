@@ -30,7 +30,7 @@ import numpy as np
 from .basis import StokesBasis, stokes_basis
 from .bessel import _BLOCK, compound_decay, jn_trio, zero_table
 from .field import (SpectralCoeffs, _reality_weights, gram, layer_masses, layer_rule,
-                    mode_inner_product, norm_sq_series)
+                    live_rows, mode_inner_product, norm_sq_series)
 from .solver import SimTrace
 
 CONDITION_KINDS = ("K1", "K2", "K3", "K4", "K5", "K6",
@@ -207,19 +207,18 @@ def condition_functional(trace: SimTrace, kind: str, schedule: ScheduleSpec,
     }
     weight, quantity, delta, trunc = table[kind]
     rule = None if delta is None else layer_rule(delta, basis.alpha[: nt + 1, :nr])
-    # the time integral of the squared norm is Gram x moments, row by row,
-    # on the moments masked to the kept modes; the Parseval Gram is I
-    moments = trace.moments
+    # the time integral of the squared norm is Gram x moments over the rows
+    # that hold energy, on the moments masked to the kept modes; the Parseval
+    # Gram is I.  The rows are taken before the mask, so every kind of a trace
+    # shares them, and one Gram stack per quantity and rule serves them all.
+    rows = live_rows(trace.moments[0].reshape(nt + 1, -1))
+    moments = trace.moments[:, rows]
     if trunc is not None:
-        keep = _apply_mask(np.ones((nt + 1, nr)), *trunc)  # 1 on the kept modes
+        keep = _apply_mask(np.ones((nt + 1, nr)), *trunc)[rows]  # 1 on the kept modes
         moments = moments * keep[:, :, None] * keep[:, None, :]
-    wr = _reality_weights(nt)
-    value = np.zeros(2)  # over all samples and over the halved trace
-    for n in range(nt + 1):
-        if np.any(moments[0, n]):
-            gn = np.eye(nr) if rule is None else gram(basis, n, quantity, rule, nr)
-            value += wr[n] * np.sum(gn * moments[:, n], axis=(1, 2))
-    full, half = value
+    gr = np.eye(nr) if rule is None else gram(basis, rows, quantity, rule, nr)
+    # over all samples and over the halved trace
+    full, half = np.sum(gr * moments, axis=(2, 3)) @ _reality_weights(nt)[rows]
     scale = max(abs(full), 1e-14)
     if trace.n_samples >= 5 and abs(full) > 1e-12 and abs(full - half) > 0.01 * scale:
         raise TraceResolutionError(

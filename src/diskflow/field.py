@@ -215,6 +215,8 @@ class SpectralCoeffs:
         g = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
         if g.shape != (int(d["n_theta"]) + 1, int(d["n_r"])):
             raise ValueError("coefficient snapshot shape mismatch")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("coefficient snapshot holds non-finite values")
         return cls(g=g, time=float(d["time"]))
 
 
@@ -321,20 +323,36 @@ def project(sample: FieldSample, basis: StokesBasis, n_theta: int,
     return SpectralCoeffs(g=g, time=0.0)
 
 
-def gram(basis: StokesBasis, n: int, quantity: str,
+def live_rows(g: np.ndarray) -> np.ndarray:
+    """The rows n of g[..., n, k] that hold a nonzero coefficient."""
+    return np.flatnonzero(np.any(g, axis=(*range(g.ndim - 2), -1)))
+
+
+def gram(basis: StokesBasis, rows: np.ndarray, quantity: str,
          rule: tuple[np.ndarray, np.ndarray], k_max: int) -> np.ndarray:
-    """Gram matrix 2 pi sum_c P_c diag(w) P_c^T of the real radial factors P
-    of the modes (n, 1..k_max) on the radial rule (r, w): row n of a state
-    adds Re(conj(g_n) . G . g_n), doubled for n >= 1, to the squared norm
-    over the rule's annulus.  Cached on the basis per (n, quantity, rule)."""
+    """Gram matrices 2 pi sum_c P_c diag(w) P_c^T of the real radial factors
+    P of the modes (n, 1..k_max), one per n in rows, on the radial rule (r,
+    w), shape (len(rows), k_max, k_max): row n of a state adds Re(conj(g_n)
+    . G_n . g_n), doubled for n >= 1, to the squared norm over the rule's
+    annulus.  One radial_profiles pass, with one order per mode, builds the
+    stack; it is cached on the basis per (quantity, rows, rule) with the
+    stacks of every other quantity that pass returns.  No rows, no pass."""
     r, w = rule
-    key = (n, quantity, k_max, r.size, hash(r.tobytes()), hash(w.tobytes()))
-    g = basis._gram_cache.get(key)
-    if g is None:
-        prof = basis.profile_matrix(n, r, quantity, k_max=k_max)
-        g = basis._gram_cache[key] = 2.0 * np.pi * np.tensordot(
-            prof * w, prof, axes=([0, 2], [0, 2]))
-    return g
+    rows = np.asarray(rows, dtype=np.intp)
+    if not rows.size:
+        return np.zeros((0, k_max, k_max))
+    key = (k_max, rows.tobytes(), r.size, hash(r.tobytes()), hash(w.tobytes()))
+    stack = basis._gram_cache.get((quantity,) + key)
+    if stack is None:
+        for q, prof in radial_profiles(np.repeat(rows, k_max),
+                                       basis.alpha[rows, :k_max].ravel(),
+                                       basis.c_signed[rows, :k_max].ravel(),
+                                       r, quantity).items():
+            p = prof.reshape(prof.shape[0], rows.size, k_max, r.size)
+            basis._gram_cache[(q,) + key] = 2.0 * np.pi * np.sum(
+                (p * w) @ p.swapaxes(2, 3), axis=0)
+        stack = basis._gram_cache[(quantity,) + key]
+    return stack
 
 
 def norm_sq_series(g: np.ndarray, basis: StokesBasis | None, quantity: str,
@@ -343,9 +361,10 @@ def norm_sq_series(g: np.ndarray, basis: StokesBasis | None, quantity: str,
 
     With rule=None this is the Parseval sum over the whole disk (vorticity,
     gradient, velocity); with a radial rule (r, w) on (r_lo, 1) it is the
-    quadrature over the annulus r_lo < r < 1, one Gram matrix per angular
-    row.  Leading axes of g are kept, so a stack of states gives one norm
-    per state.  The vorticity and gradient Parseval sums need no basis.
+    quadrature over the annulus r_lo < r < 1, one quadratic form per live
+    row with gram's stack.  Leading axes of g are kept, so a stack of states
+    gives one norm per state.  The vorticity and gradient Parseval sums need
+    no basis.
     """
     nt, nr = g.shape[-2] - 1, g.shape[-1]
     wr = _reality_weights(nt)
@@ -356,14 +375,10 @@ def norm_sq_series(g: np.ndarray, basis: StokesBasis | None, quantity: str,
         if quantity == "velocity":
             mag = mag / basis.lam[: nt + 1, :nr]
         return np.sum(mag, axis=(-2, -1))
-    out = np.zeros(g.shape[:-2])
-    for n in range(nt + 1):
-        gn = g[..., n, :]
-        if np.any(gn):
-            parts = np.stack([gn.real, gn.imag])
-            out += wr[n] * np.sum((parts @ gram(basis, n, quantity, rule, nr)) * parts,
-                                  axis=(0, -1))
-    return out
+    rows = live_rows(g)
+    parts = np.stack([g.real, g.imag])[..., rows, None, :]  # (2, ..., rows, 1, k)
+    quad = np.sum((parts @ gram(basis, rows, quantity, rule, nr)) * parts, axis=(-2, -1))
+    return np.sum(wr[rows] * quad, axis=(0, -1))
 
 
 def norm_l2(source, basis: StokesBasis | None = None, quantity: str = "vorticity",

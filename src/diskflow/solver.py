@@ -19,8 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .basis import StokesBasis, stokes_basis
-from .field import (SpectralCoeffs, Transform, _reality_weights, norm_sq_series,
-                    radial_rule)
+from .field import (SpectralCoeffs, Transform, _reality_weights, live_rows,
+                    norm_sq_series, radial_rule)
 
 
 class SolverInstability(RuntimeError):
@@ -104,15 +104,15 @@ class SimTrace:
         """Time moments H[w, n] = Re(g_n^H diag(c_w) g_n), shape (2,
         n_theta+1, n_r, n_r), with c_0 the trapezoid weights of the samples
         and c_1 those of every second sample (the halved trace): the time
-        integral of a squared norm is linear in H.  Formed once per trace;
-        all-zero rows of g give zero rows."""
-        c = np.zeros((2, 1, self.n_samples))
+        integral of a squared norm is linear in H.  Formed once per trace,
+        in one batched product over the live rows; the others stay zero."""
+        c = np.zeros((2, 1, 1, self.n_samples))
         for w, t in enumerate((self.times, self.times[::2])):
-            c[w, 0, :: w + 1] = 0.5 * (np.diff(t, prepend=t[0]) + np.diff(t, append=t[-1]))
+            c[w, ..., :: w + 1] = 0.5 * (np.diff(t, prepend=t[0]) + np.diff(t, append=t[-1]))
         out = np.zeros((2, self.g.shape[1], self.g.shape[2], self.g.shape[2]))
-        for n, gn in enumerate(self.g.swapaxes(0, 1)):
-            if np.any(gn):
-                out[:, n] = (np.conj(gn.T) * c @ gn).real
+        rows = live_rows(self.g)
+        gl = self.g[:, rows].swapaxes(0, 1)  # (rows, samples, k)
+        out[:, rows] = (np.conj(gl.swapaxes(1, 2)) * c @ gl).real
         return out
 
     def with_coeffs(self, gnew: np.ndarray) -> "SimTrace":
@@ -280,23 +280,13 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
     fwd_w = (1.0 - decay**2) / eng.lam
     bwd_w = fwd_w / decay**2
 
-    times, gs, u2s, w2s, viscs, eins, fluxes = [], [], [], [], [], [], []
     u2, w2 = eng.norms(state.g)
     visc = 0.0
     ein = 0.0
     phi, conv = eng.rhs(state.g, 0.0)
     fl = 0.0 if config.linear else eng.flux(state.g, conv)
-
-    def record():
-        times.append(state.time)
-        gs.append(state.g.copy())
-        u2s.append(u2)
-        w2s.append(w2)
-        viscs.append(visc)
-        eins.append(ein)
-        fluxes.append(fl)
-
-    record()
+    # (time, g, |u|^2, |omega|^2, visc_cum, energy_in, flux) per sample
+    samples = [(state.time, state.g.copy(), u2, w2, visc, ein, fl)]
     failed = False
     message = ""
     try:
@@ -314,24 +304,13 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
             phi, conv = eng.rhs(state.g, state.time)
             fl = 0.0 if config.linear else eng.flux(state.g, conv)
             if i % config.sample_stride == 0 or i == n_steps:
-                record()
+                samples.append((state.time, state.g.copy(), u2, w2, visc, ein, fl))
     except SolverInstability as exc:
         failed = True
         message = str(exc)
-        record()
-
-    return SimTrace(
-        nu=config.nu,
-        times=np.asarray(times),
-        g=np.asarray(gs),
-        u_norm_sq=np.asarray(u2s),
-        w_norm_sq=np.asarray(w2s),
-        visc_cum=np.asarray(viscs),
-        energy_in=np.asarray(eins),
-        flux=np.asarray(fluxes),
-        failed=failed,
-        message=message,
-    )
+        samples.append((state.time, state.g.copy(), u2, w2, visc, ein, fl))
+    return SimTrace(config.nu, *map(np.asarray, zip(*samples)),
+                    failed=failed, message=message)
 
 
 def linear_trace(init: SpectralCoeffs, basis: StokesBasis, nu: float,

@@ -314,11 +314,15 @@ def test_profile_and_gram_caches_are_bounded():
     bas = StokesBasis(8, 4)
     bas._profile_cache.maxsize = bas._gram_cache.maxsize = 3
     rule = radial_rule(0.9, float(bas.alpha.max()))
+    stacks = []
     for n in range(6):
         row = bas.profile_matrix(n, rule[0], "vorticity")
         assert bas.profile_matrix(n, rule[0], "vorticity") is row  # a hit
-        gram(bas, n, "dtau_un", rule, 4)
+        stacks.append(gram(bas, [n], "dtau_un", rule, 4))
+        assert gram(bas, [n], "dtau_un", rule, 4) is stacks[-1]  # a hit
     assert len(bas._profile_cache) == len(bas._gram_cache) == 3
     assert {key[:2] for key in bas._profile_cache} == {
-        ("dtau_un", 4), ("vorticity", 5), ("dtau_un", 5)}
-    assert {key[0] for key in bas._gram_cache} == {3, 4, 5}
+        ("vorticity", 3), ("vorticity", 4), ("vorticity", 5)}
+    assert gram(bas, [5], "dtau_un", rule, 4) is stacks[5]
+    assert gram(bas, [2], "dtau_un", rule, 4) is not stacks[2]  # dropped
+    assert len(bas._gram_cache) == 3

@@ -116,6 +116,33 @@ def test_unreadable_init_file_exits_2_naming_the_file(tmp_path, capsys, content)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_simulate_rejects_non_finite_init_coefficients(tmp_path, capsys, value):
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text('{"time": 0.0, "n_theta": 2, "n_r": 3, "im": [[0, 0, 0], '
+                      f'[0, 0, 0], [0, 0, 0]], "re": [[1, 0, 0], [0, {value}, 0], '
+                      '[0, 0, 0]]}')
+    cfgfile = _write_sim_config(tmp_path, init={"file": "coeffs.json"})
+    assert main(["simulate", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read init file {coeffs}" in err and "non-finite" in err
+    assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+def test_sweep_rejects_non_finite_init_coefficients(tmp_path, capsys):
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text('{"time": 0.0, "n_theta": 0, "n_r": 2, "re": [[1, 0]], '
+                      '"im": [[0, NaN]]}')
+    cfgfile = tmp_path / "sweep.json"
+    cfgfile.write_text(json.dumps({**SWEEP, "sim": {**SWEEP["sim"],
+                                                    "init": {"file": "coeffs.json"}}}))
+    assert main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read init file {coeffs}" in err and "non-finite" in err
+    assert not (tmp_path / "o" / "diagnostics.csv").exists()
+
+
 @pytest.mark.parametrize("content", [None, "{not json", "5"],
                          ids=["directory", "not-json", "not-an-object"])
 def test_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, content):

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from diskflow import field
 from diskflow.basis import StokesBasis, stokes_basis
 from diskflow.diagnostics import (CONDITION_KINDS, LEMMA_IDS, ScheduleError,
                                   ScheduleSpec, TraceResolutionError,
@@ -97,6 +98,20 @@ def test_zero_trace_gives_zero_functionals(bas, sched):
     tr = linear_trace(init, bas, 0.05, np.linspace(0, 1, 101))
     for kind in CONDITION_KINDS:
         assert condition_functional(tr, kind, sched, bas) == 0.0
+
+
+def test_no_live_row_gives_zero_without_profile_work(sched, monkeypatch):
+    bas = StokesBasis(4, 6)  # its own Gram cache
+    tr = linear_trace(SpectralCoeffs.zeros(4, 6), bas, 0.05, np.linspace(0, 1, 101))
+    monkeypatch.setattr(field, "radial_profiles", None)  # any call would fail
+    assert field.live_rows(tr.g).size == 0
+    for kind in CONDITION_KINDS:
+        assert condition_functional(tr, kind, sched, bas) == 0.0
+    rule = radial_rule(0.8, float(bas.alpha.max()))
+    for quantity in ("vorticity", "gradient", "velocity", "dtau_utau", "dtau_un"):
+        assert np.array_equal(norm_sq_series(tr.g, bas, quantity, rule),
+                              np.zeros(tr.n_samples))
+    assert len(bas._gram_cache) == 0
 
 
 def test_k1_matches_closed_form(bas, sched):
@@ -501,13 +516,13 @@ def test_zero_rows_build_no_profile_rows(sched, monkeypatch):
     g0[:3] = 1.0 / np.arange(1, 9)
     tr = linear_trace(SpectralCoeffs(g=g0), bas, nu, graded_times(1.0, 401))
     rows = []
-    orig = bas.profile_matrix
+    orig = field.radial_profiles
 
     def spy(n, *args, **kwargs):
-        rows.append(n)
+        rows.append(int(np.max(n)))
         return orig(n, *args, **kwargs)
 
-    monkeypatch.setattr(bas, "profile_matrix", spy)
+    monkeypatch.setattr(field, "radial_profiles", spy)
     for kind in CONDITION_KINDS:
         condition_functional(tr, kind, sched, bas)
     assert rows and max(rows) == 2

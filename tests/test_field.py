@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from diskflow.basis import QUANTITIES, pair_profile, stokes_basis
+from diskflow.basis import QUANTITIES, StokesBasis, pair_profile, stokes_basis
 from diskflow.field import (_MASS_TOL, FieldSample, GridError, SpectralCoeffs,
                             _gauss_radial, _lane_masses, _resolves, build_grid,
-                            inner_product, layer_masses, layer_rule,
+                            gram, inner_product, layer_masses, layer_rule,
                             mode_inner_product, norm_l2, norm_sq_series, project,
                             radial_rule, synthesize)
 from oracles import trapezoid_radial
@@ -145,6 +145,33 @@ def test_norm_sq_series_of_stack_matches_norm_l2(bas, rng, quantity):
         assert disk[i] == pytest.approx(norm_l2(c, bas, quantity), rel=1e-14)
         assert layer[i] == pytest.approx(
             norm_l2(c, bas, quantity, delta=0.3), rel=1e-14)
+
+
+@pytest.mark.parametrize("quantity", list(QUANTITIES))
+def test_gram_stack_matches_per_row_grams(quantity):
+    # the oracle is the per-row Gram 2 pi sum_c (P_c w) P_c^T of profile_matrix
+    bas = StokesBasis(8, 8)
+    rule = layer_rule(0.3, bas.alpha)
+    rows = [0, 2, 3, 7]
+    stack = gram(bas, rows, quantity, rule, 6)
+    assert stack.shape == (len(rows), 6, 6)
+    for n, got in zip(rows, stack):
+        prof = bas.profile_matrix(n, rule[0], quantity, k_max=6)
+        want = 2.0 * np.pi * np.sum((prof * rule[1]) @ prof.swapaxes(1, 2), axis=0)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), n
+
+
+@pytest.mark.parametrize("first, filled", [("gradient", ("velocity", "vorticity")),
+                                          ("velocity", ("vorticity",))])
+def test_gram_is_the_same_whichever_pass_filled_the_cache(first, filled):
+    # the order of a sweep's kinds must not move its values
+    rule = layer_rule(0.05, stokes_basis(6, 6).alpha)
+    warm, cold = StokesBasis(6, 6), StokesBasis(6, 6)
+    gram(warm, [1, 2, 4], first, rule, 6)
+    assert len(warm._gram_cache) == 1 + len(filled)
+    for quantity in filled:
+        assert np.array_equal(gram(warm, [1, 2, 4], quantity, rule, 6),
+                              gram(cold, [1, 2, 4], quantity, rule, 6)), quantity
 
 
 def test_zero_mean_of_synthesized_vorticity(bas, disk_grid, rng):
