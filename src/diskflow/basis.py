@@ -22,7 +22,7 @@ _SQRT_PI = math.sqrt(math.pi)
 _R_LIMIT = 1.0e-8  # below this, point evaluation switches to series limits
 
 # Every component of a mode's profile is a real radial factor times a fixed
-# phase; profile_matrix and pair_profile return the real factors.
+# phase; radial_profiles, profile_matrix and pair_profile return the real factors.
 PHASES = {
     "vorticity": (1,),
     "velocity": (1j, 1),           # (u^r, u^theta)
@@ -35,11 +35,9 @@ QUANTITIES = {q: len(ph) for q, ph in PHASES.items()}
 
 class LRUCache(dict):
     """A dict of at most maxsize entries: get() marks an entry as used, and
-    a new entry drops the least recently used.  The default bound is above
-    the profile rows one run uses (66 in the benchmark's nonlinear run; its
-    sweep builds none)."""
+    a new entry drops the least recently used."""
 
-    def __init__(self, maxsize: int = 256):
+    def __init__(self, maxsize: int):
         super().__init__()
         self.maxsize = maxsize
 
@@ -89,7 +87,6 @@ class StokesBasis:
         ns = ns.astype(float)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             self.d_const = np.where(ns >= 1, -self.lam * self.j_at_alpha / ns, np.nan)
-        self._profile_cache = LRUCache()
         # filled by field.gram; holds the five stacks of one trace's functionals
         self._gram_cache = LRUCache(8)
 
@@ -113,28 +110,14 @@ class StokesBasis:
         )
 
     def profile_matrix(self, n: int, r: np.ndarray, quantity: str,
-                       k_max: int | None = None) -> np.ndarray:
-        """Radial factors of the modes (n, 1..k_max) for one field quantity.
-
-        Returns a real array of shape (ncomp, k_max, r.size) such that
-        component c of the quantity of mode (n, k) at (r, theta) is
-        PHASES[quantity][c] * profile[c, k-1, :] * exp(i n theta).  These are
-        field.Transform's rows, cached per (n, quantity, k_max, r), least
-        recently used dropped first; a velocity row also caches the vorticity
-        row of its Bessel pass, and a gradient row both.  The layer Grams
-        (field.gram) take their factors from radial_profiles directly.
-        """
+                       k_max: int | None = None) -> dict[str, np.ndarray]:
+        """Radial factors of the modes (n, 1..k_max), not cached: radial_profiles's
+        dict of every quantity its one Bessel pass computes, each of shape
+        (ncomp, k_max, r.size)."""
         k_max = self.k_max if k_max is None else k_max
         self._check(n, max(k_max, 1))
-        key = (n, k_max, r.size, hash(r.tobytes()))
-        hit = self._profile_cache.get((quantity,) + key)
-        if hit is not None:
-            return hit
-        profs = radial_profiles(n, self.alpha[n, :k_max], self.c_signed[n, :k_max],
-                                r, quantity)
-        for q, prof in profs.items():
-            self._profile_cache[(q,) + key] = prof
-        return profs[quantity]
+        return radial_profiles(n, self.alpha[n, :k_max], self.c_signed[n, :k_max],
+                               r, quantity)
 
 
 def radial_profiles(n, alphas: np.ndarray, c_signed: np.ndarray,
@@ -189,10 +172,10 @@ def radial_profiles(n, alphas: np.ndarray, c_signed: np.ndarray,
 
 
 def pair_profile(pair: EigenPair, r: np.ndarray, quantity: str) -> np.ndarray:
-    """Real radial factor of one mode, shape (ncomp, r.size); not cached.
+    """Real radial factor of one mode, shape (ncomp, r.size).
 
-    Equal to profile_matrix(pair.n, r, quantity)[:, pair.k - 1] up to
-    roundoff, without evaluating the rest of the row.
+    Equal to profile_matrix(pair.n, r, quantity)[quantity][:, pair.k - 1] up
+    to roundoff, without evaluating the rest of the row.
     """
     return radial_profiles(pair.n, np.array([pair.alpha]), np.array([pair.c_signed]),
                            np.asarray(r, dtype=float), quantity)[quantity][:, 0, :]

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -140,6 +141,8 @@ def cmd_simulate(args, outdir: Path) -> tuple[int, dict]:
     cfg = _with_seed(_load_config(args), args.seed)
     sim = _sim_config(cfg, Path(args.config).parent)
     snap_stride = int(_expect(cfg, "snapshot_stride", int, 0))
+    if snap_stride < 0:
+        raise ConfigError(f"snapshot_stride must be >= 0, got {snap_stride}")
     trace = simulate(sim)
     rows = [
         (trace.times[i], trace.u_norm_sq[i], trace.w_norm_sq[i],
@@ -162,18 +165,15 @@ def cmd_simulate(args, outdir: Path) -> tuple[int, dict]:
     return (1 if trace.failed else 0), cfg
 
 
-def _sweep_point(payload: dict) -> dict:
+def _sweep_point(sim: SimConfig, schedule: ScheduleSpec, kinds: list) -> dict:
     """Evaluate one viscosity of a sweep; runs in a worker process."""
-    sim = _sim_config({**payload["sim"], "nu": payload["nu"]},
-                      Path(payload["base"]))
-    schedule = ScheduleSpec(**payload["schedule"])
     basis = stokes_basis(sim.n_theta, sim.n_r)
-    out = {"nu": payload["nu"], "values": {}, "error": ""}
+    out = {"nu": sim.nu, "values": {}, "error": ""}
     try:
         trace = simulate(sim, basis)
         if trace.failed:
             raise RuntimeError(trace.message)
-        for kind in payload["kinds"]:
+        for kind in kinds:
             if kind == "gap":  # sample 0 of the trace is the initial state
                 out["values"][kind] = vv_gap(trace, trace.coeffs_at(0), basis)
             else:
@@ -212,18 +212,17 @@ def cmd_sweep(args, outdir: Path) -> tuple[int, dict]:
         raise ConfigError("config key 'sim.nu' is not read: a sweep takes its "
                           "viscosities from nu_list")
 
-    payloads = [{"nu": float(nu), "kinds": kinds, "sim": sim_cfg,
-                 "schedule": schedule.__dict__,
-                 "base": str(Path(args.config).parent)}
-                for nu in nu_list]
+    sim = _sim_config({**sim_cfg, "nu": nu_list[0]}, Path(args.config).parent)
+    sims = [replace(sim, nu=float(nu)) for nu in nu_list]
     if args.threads > 1:
         # imported here: at module level it adds ~15 ms to every command
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(_sweep_point, payloads))
+            results = list(pool.map(_sweep_point, sims, [schedule] * len(sims),
+                                    [kinds] * len(sims)))
     else:
-        results = [_sweep_point(p) for p in payloads]
+        results = [_sweep_point(s, schedule, kinds) for s in sims]
 
     rows = []
     failures = {}

@@ -246,6 +246,8 @@ class Transform:
     stacked radial factors, the phases applied apart, and one FFT.
     Synthesis gives every quantity's components, exact pointwise at any na;
     projection takes the first quantity back, reading row n at n mod na.
+    Each row comes from one profile_matrix pass of the first quantity, which
+    must return the others (a velocity pass also gives the vorticity).
     """
 
     def __init__(self, basis: StokesBasis, nt: int, nr: int, r: np.ndarray,
@@ -253,17 +255,17 @@ class Transform:
         self.nt, self.na = nt, na
         # synthesis keeps every m-th of m * na angles: row nt is below Nyquist
         self.m = -(-(2 * nt + 2) // na)
-        self.rows = {q: [basis.profile_matrix(n, r, q, k_max=nr) for n in range(nt + 1)]
-                     for q in quantities}
         # synthesis factors (component * q, k) and the first quantity's weighted
         # projection factors (k, component * q), filled per n to bound peak memory
         self.phase = np.array(sum((PHASES[q] for q in quantities), ()))[:, None]
         ncomp, nq = self.phase.shape[0], r.size
         stack = np.empty((nt + 1, ncomp, nq, nr))
         weighted = np.empty((nt + 1, nr, QUANTITIES[quantities[0]], nq))
+        self.rows = stack.swapaxes(2, 3)  # (n, component, k, q) view
         for n in range(nt + 1):
-            np.concatenate([self.rows[q][n] for q in quantities], out=stack[n].swapaxes(1, 2))
-            weighted[n] = (self.rows[quantities[0]][n] * w).swapaxes(0, 1)
+            profs = basis.profile_matrix(n, r, quantities[0], k_max=nr)
+            np.concatenate([profs[q] for q in quantities], out=self.rows[n])
+            weighted[n] = (profs[quantities[0]] * w).swapaxes(0, 1)
         self.stack = stack.reshape(nt + 1, ncomp * nq, nr)
         self.weighted = weighted.reshape(nt + 1, nr, -1)
         alias = np.arange(nt + 1) % na

@@ -13,6 +13,7 @@ orthogonal to u at every node, so the energy flux is zero to roundoff.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -164,8 +165,8 @@ class _Engine:
         self.r, self.w = radial_rule(0.0, self.wavenumber)
         self.tf = Transform(basis, nt, nr, self.r, self.w, self.na,
                             ("velocity", "vorticity"))
-        # prof_g holds the vorticity rows; perfbench reads it by that name
-        self.prof_u, self.prof_g = self.tf.rows["velocity"], self.tf.rows["vorticity"]
+        # per-n views of tf.stack's rows; perfbench reads them by these names
+        self.prof_u, self.prof_g = list(self.tf.rows[:, :2]), list(self.tf.rows[:, 2:])
         self.proj = list(self.tf.weighted)  # per-n views
 
     def norms(self, g: np.ndarray) -> tuple[float, float]:
@@ -252,8 +253,23 @@ def exact_linear_solution(init: SpectralCoeffs, basis: StokesBasis, nu: float,
     return SpectralCoeffs(g=linear_trace(init, basis, nu, [t]).g[0], time=init.time + t)
 
 
+def _step_count(config: SimConfig, dt: float) -> int:
+    """Steps of at most dt to t_end, refused if their trace exceeds memory."""
+    n_steps = max(1, int(np.ceil(config.t_end / dt - 1e-12)))
+    states = n_steps // config.sample_stride + 2
+    size = states * (config.n_theta + 1) * config.n_r * 16  # complex128
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if size > memory:
+        raise ValueError(
+            f"dt={dt:.6g} takes {n_steps} steps, whose trace of {states} states of "
+            f"{config.n_theta + 1} x {config.n_r} complex ({size / 2**30:.1f} GiB) "
+            f"exceeds physical memory ({memory / 2**30:.1f} GiB)")
+    return n_steps
+
+
 def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
     """Run to t_end, recording sampled coefficients and running integrals."""
+    n_steps = _step_count(config, config.dt) if config.dt else None
     basis = basis or stokes_basis(config.n_theta, config.n_r)
     if isinstance(config.init, SpectralCoeffs):
         state = config.init.copy()
@@ -265,8 +281,7 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
     state.time = 0.0
     state.g[0] = state.g[0].real  # row 0 is read as real, from sample 0 on
     eng = _Engine(config, basis)
-    dt = config.dt or default_dt(config, eng, state)
-    n_steps = max(1, int(np.ceil(config.t_end / dt - 1e-12)))
+    n_steps = n_steps or _step_count(config, default_dt(config, eng, state))
     dt = config.t_end / n_steps
     if config.linear and config.forcing is None:
         # an unforced step is exactly decay * g, so the closed form at the

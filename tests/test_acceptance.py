@@ -32,7 +32,7 @@ def test_acceptance_01_orthonormality():
     th = 2 * np.pi * np.arange(na) / na
     V = np.empty((len(modes), na * r.size), dtype=complex)
     for i, (n, k) in enumerate(modes):
-        prof = bas.profile_matrix(n, r, "vorticity")[0, k - 1]
+        prof = bas.profile_matrix(n, r, "vorticity")["vorticity"][0, k - 1]
         V[i] = (np.exp(1j * n * th)[:, None] * prof[None, :]).ravel()
     W = np.tile(w, na) * (2 * np.pi / na)
     gram = (V * W[None, :]) @ V.conj().T
@@ -41,7 +41,7 @@ def test_acceptance_01_orthonormality():
 
     worst_u = 0.0
     for n, k in modes:
-        prof = bas.profile_matrix(n, r, "velocity")[:, k - 1, :]
+        prof = bas.profile_matrix(n, r, "velocity")["velocity"][:, k - 1, :]
         u2 = 2 * np.pi * float(np.sum(w[None, :] * np.abs(prof) ** 2))
         worst_u = max(worst_u, abs(u2 - 1.0 / bas.pair(n, k).lam))
     assert worst_u < 1e-9

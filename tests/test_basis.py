@@ -201,8 +201,8 @@ def test_boundary_layer_mass_bound(basis13):
     ds = np.geomspace(0.002, 0.02, 6)
     masses = []
     for d in ds:
-        dens = lambda r: np.array(
-            [np.sum(np.abs(velocity_eval(p, float(rr), 0.0)) ** 2) for rr in r])
+        # |velocity_eval|^2 summed over components: the phases have modulus 1
+        dens = lambda r: np.sum(pair_profile(p, r, "velocity") ** 2, axis=0)
         masses.append(2 * np.pi * trapezoid_radial(dens, 1 - d, 1.0, n=2001))
     slope = np.polyfit(np.log(ds), np.log(masses), 1)[0]
     assert slope == pytest.approx(3.0, abs=0.1)
@@ -231,7 +231,7 @@ def test_table_bounds_checked(basis13):
 @pytest.mark.parametrize("n", [0, 1, 2, 7])
 def test_pair_profile_matches_profile_matrix_column(basis13, n, quantity):
     r = np.linspace(0.01, 1.0, 37)
-    row = basis13.profile_matrix(n, r, quantity)
+    row = basis13.profile_matrix(n, r, quantity)[quantity]
     for k in range(1, basis13.k_max + 1):
         single = pair_profile(basis13.pair(n, k), r, quantity)
         assert single.shape == (QUANTITIES[quantity], r.size)
@@ -274,7 +274,7 @@ def test_radial_profiles_take_one_order_per_mode(quantity):
 @pytest.mark.parametrize("quantity", sorted(PHASES))
 def test_profiles_are_real_float64(basis13, quantity):
     r = np.linspace(0.05, 1.0, 9)
-    row = basis13.profile_matrix(5, r, quantity, k_max=4)
+    row = basis13.profile_matrix(5, r, quantity, k_max=4)[quantity]
     single = pair_profile(basis13.pair(5, 2), r, quantity)
     assert row.dtype == np.float64 and single.dtype == np.float64
     assert row.shape == (len(PHASES[quantity]), 4, r.size)
@@ -308,21 +308,17 @@ def test_zero_table_and_basis_caches_are_bounded():
     assert zero_table.cache_info().currsize == stokes_basis.cache_info().currsize == 8
 
 
-def test_profile_and_gram_caches_are_bounded():
+def test_gram_cache_is_bounded():
     from diskflow.field import gram, radial_rule
 
     bas = StokesBasis(8, 4)
-    bas._profile_cache.maxsize = bas._gram_cache.maxsize = 3
+    bas._gram_cache.maxsize = 3
     rule = radial_rule(0.9, float(bas.alpha.max()))
     stacks = []
     for n in range(6):
-        row = bas.profile_matrix(n, rule[0], "vorticity")
-        assert bas.profile_matrix(n, rule[0], "vorticity") is row  # a hit
         stacks.append(gram(bas, [n], "dtau_un", rule, 4))
         assert gram(bas, [n], "dtau_un", rule, 4) is stacks[-1]  # a hit
-    assert len(bas._profile_cache) == len(bas._gram_cache) == 3
-    assert {key[:2] for key in bas._profile_cache} == {
-        ("vorticity", 3), ("vorticity", 4), ("vorticity", 5)}
+    assert len(bas._gram_cache) == 3
     assert gram(bas, [5], "dtau_un", rule, 4) is stacks[5]
     assert gram(bas, [2], "dtau_un", rule, 4) is not stacks[2]  # dropped
     assert len(bas._gram_cache) == 3

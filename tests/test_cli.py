@@ -185,6 +185,8 @@ MALFORMED = {
     "simulate-dt-zero": (["simulate"], {**SIM, "dt": 0}, "dt must be"),
     "simulate-sample-stride-0": (
         ["simulate"], {**SIM, "sample_stride": 0}, "sample_stride"),
+    "simulate-snapshot-stride-negative": (
+        ["simulate"], {**SIM, "snapshot_stride": -1}, "snapshot_stride must be >= 0"),
     "simulate-init-file-not-a-string": (
         ["simulate"], {**SIM, "init": {"file": 5}}, "init must be"),
     "simulate-empty-config": (["simulate"], {}, "'nu' is required"),
@@ -253,6 +255,30 @@ def test_benchmark_argv_parses(tmp_path, monkeypatch):
     for name, spec in WORKLOADS.items():
         args = build_parser().parse_args(cli_args(name, tmp_path / name, 3))
         assert args.command == spec["argv"][0] and args.seed == 3
+
+
+@pytest.mark.parametrize("linear", [True, False])
+def test_trace_beyond_physical_memory_exits_2_before_any_allocation(
+        tmp_path, capsys, monkeypatch, linear):
+    import diskflow.solver
+
+    def allocates(*args, **kwargs):
+        raise AssertionError("built before the trace size was checked")
+
+    # unchecked, the linear run asks for 74.5 GiB of step indices and the
+    # nonlinear one steps for hours; here either would stop at the basis
+    monkeypatch.setattr(diskflow.solver, "stokes_basis", allocates)
+    monkeypatch.setattr(diskflow.solver, "_Engine", allocates)
+    cfgfile = _write_sim_config(tmp_path, nu=0.01, t_end=0.01, n_theta=4, n_r=4,
+                                dt=1e-12, linear=linear)
+    assert main(["simulate", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"diskflow simulate: dt=1e-12 takes 1000000000\d steps, whose "
+                        r"trace of 1000000000\d states of 5 x 4 complex \([0-9.]+ GiB\) "
+                        r"exceeds physical memory \([0-9.]+ GiB\)", err[0]), err[0]
+    assert not (tmp_path / "o" / "trace.csv").exists()
 
 
 def test_zero_convergence_failure_exits_3(tmp_path, capsys, monkeypatch):

@@ -465,7 +465,7 @@ def _layer_norms_by_quadrature(g, basis, quantity, delta):
     r, w = radial_rule(1.0 - delta, float(basis.alpha[: nt + 1, :nr].max()))
     out = np.zeros(g.shape[0])
     for n in range(nt + 1):
-        vals = g[:, n, :] @ basis.profile_matrix(n, r, quantity, k_max=nr)  # (c, s, q)
+        vals = g[:, n, :] @ basis.profile_matrix(n, r, quantity, k_max=nr)[quantity]  # (c, s, q)
         out += 2.0 * np.pi * wr[n] * np.sum(w * np.abs(vals) ** 2, axis=(0, 2))
     return out
 

@@ -156,7 +156,7 @@ def test_gram_stack_matches_per_row_grams(quantity):
     stack = gram(bas, rows, quantity, rule, 6)
     assert stack.shape == (len(rows), 6, 6)
     for n, got in zip(rows, stack):
-        prof = bas.profile_matrix(n, rule[0], quantity, k_max=6)
+        prof = bas.profile_matrix(n, rule[0], quantity, k_max=6)[quantity]
         want = 2.0 * np.pi * np.sum((prof * rule[1]) @ prof.swapaxes(1, 2), axis=0)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), n
 
@@ -282,7 +282,7 @@ def test_aliased_synthesis_is_pointwise(bas, rng, n):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         got = synthesize(c, grid, bas, "vorticity").values[0]
-    radial = c.g[n] @ bas.profile_matrix(n, grid.r, "vorticity", k_max=4)[0]
+    radial = c.g[n] @ bas.profile_matrix(n, grid.r, "vorticity", k_max=4)["vorticity"][0]
     want = 2.0 * np.real(np.exp(1j * n * grid.theta)[:, None] * radial[None, :])
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -295,7 +295,7 @@ def test_aliased_projection_matches_angular_dft(bas, rng):
         got = project(sample, bas, 6, 4).g
     for n in range(7):
         chat = np.exp(-1j * n * grid.theta) @ vals[0] / 8
-        prof = bas.profile_matrix(n, grid.r, "vorticity", k_max=4)[0]
+        prof = bas.profile_matrix(n, grid.r, "vorticity", k_max=4)["vorticity"][0]
         want = 2.0 * np.pi * prof @ (grid.w * chat)
         if n == 0:
             want = want.real
@@ -326,14 +326,6 @@ def test_tangential_gradient_norm_requires_layer(bas, rng):
     with pytest.raises(ValueError, match="layer width"):
         norm_l2(c, bas, "dtau_un", delta=1.0)
     assert norm_l2(c, bas, "dtau_utau", delta=0.3) >= 0.0
-
-
-def test_mode_inner_product_leaves_profile_cache_unchanged(bas):
-    before = len(bas._profile_cache)
-    for delta in (0.3, 0.07):
-        mode_inner_product(bas, (3, 2), (5, 7), "velocity", delta=delta)
-        mode_inner_product(bas, (1, 4), (1, 4), "vorticity", delta=delta)
-    assert len(bas._profile_cache) == before
 
 
 def test_radial_rule_cache_is_bounded(bas):

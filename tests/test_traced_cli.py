@@ -21,7 +21,11 @@ def run_traced(tmp_path, name, cli_args):
          "--out", str(tmp_path / name)],
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return {span[0] for span in json.loads(spans.read_text())["spans"]}
+    return json.loads(spans.read_text())["spans"]  # [name, t0, t1, parent, info]
+
+
+def names(spans):
+    return {span[0] for span in spans}
 
 
 def test_traced_cli_records_every_layer_span(tmp_path):
@@ -30,8 +34,13 @@ def test_traced_cli_records_every_layer_span(tmp_path):
                                "n_r": 6, "dt": 0.01, "init": "generic",
                                "linear": False}))
     sim = run_traced(tmp_path, "sim", ["simulate", "--config", str(cfg)])
-    assert {"solver.convective", "basis.profile_matrix"} <= sim
+    assert {"solver.convective", "basis.profile_matrix"} <= names(sim)
+    # one profile row per angular index, each from one Bessel pass
+    rows = [i for i, span in enumerate(sim) if span[0] == "basis.profile_matrix"]
+    assert len(rows) == 6 + 1
+    for i in rows:
+        assert [s[0] for s in sim if s[3] == i] == ["bessel.jn_trio"]
     verify = run_traced(tmp_path, "verify", [
         "verify", "--lemmas", "SomeL2InnerProductsAreZero,L2omegaGammaBound",
         "--n-max", "6", "--k-max", "6"])
-    assert {"field.mode_inner_product", "diagnostics.verify_lemma"} <= verify
+    assert {"field.mode_inner_product", "diagnostics.verify_lemma"} <= names(verify)
