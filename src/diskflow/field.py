@@ -245,36 +245,39 @@ class Transform:
     times the radial nodes r (weights w): one real matmul per n of the
     stacked radial factors, the phases applied apart, and one FFT.
     Synthesis gives every quantity's components, exact pointwise at any na;
-    projection takes the first quantity back, reading row n at n mod na.
-    Each row comes from one profile_matrix pass of the first quantity, which
-    must return the others (a velocity pass also gives the vorticity).
+    projection takes the first quantity back, reading row n at n mod na,
+    with the weights put on the samples and that quantity's rows of the
+    same stack transposed (proj).  Each row comes from one profile_matrix
+    pass of the first quantity, which must return the others (a velocity
+    pass also gives the vorticity).  Every sample and spectrum array of a
+    call is one of the transform's own buffers.
     """
 
     def __init__(self, basis: StokesBasis, nt: int, nr: int, r: np.ndarray,
                  w: np.ndarray, na: int, quantities: tuple[str, ...]):
-        self.nt, self.na = nt, na
+        self.nt, self.na, self.w = nt, na, w
         # synthesis keeps every m-th of m * na angles: row nt is below Nyquist
         self.m = -(-(2 * nt + 2) // na)
-        # synthesis factors (component * q, k) and the first quantity's weighted
-        # projection factors (k, component * q), filled per n to bound peak memory
+        # synthesis factors (component * q, k), filled per n to bound peak memory
         self.phase = np.array(sum((PHASES[q] for q in quantities), ()))[:, None]
-        ncomp, nq = self.phase.shape[0], r.size
+        ncomp, nq, nc0 = self.phase.shape[0], r.size, QUANTITIES[quantities[0]]
         stack = np.empty((nt + 1, ncomp, nq, nr))
-        weighted = np.empty((nt + 1, nr, QUANTITIES[quantities[0]], nq))
         self.rows = stack.swapaxes(2, 3)  # (n, component, k, q) view
         for n in range(nt + 1):
             profs = basis.profile_matrix(n, r, quantities[0], k_max=nr)
             np.concatenate([profs[q] for q in quantities], out=self.rows[n])
-            weighted[n] = (profs[quantities[0]] * w).swapaxes(0, 1)
         self.stack = stack.reshape(nt + 1, ncomp * nq, nr)
-        self.weighted = weighted.reshape(nt + 1, nr, -1)
+        self.proj = self.stack[:, : nc0 * nq].swapaxes(1, 2)  # (n, k, component * q)
         alias = np.arange(nt + 1) % na
-        self._fold = alias > na // 2  # read as the conjugate of na - alias
-        self._alias = np.where(self._fold, na - alias, alias)
+        fold = alias > na // 2  # read as the conjugate of na - alias
+        self._alias, self._folds = np.where(fold, na - alias, alias), np.flatnonzero(fold)
         # reused buffers: fresh ones this size are page-faulted anew whenever
         # the heap is trimmed.  Spectrum rows above nt stay zero.
         self._spec = np.zeros((self.m * na // 2 + 1, ncomp, nq), dtype=complex)
         self._phys = np.empty((self.m * na, ncomp, nq))
+        self.samples = np.empty((na, nc0, nq))
+        self._rspec = np.empty((na // 2 + 1, nc0, nq), dtype=complex)
+        self._what = np.empty((nt + 1, nc0, nq), dtype=complex)
 
     def synthesize(self, g: np.ndarray) -> np.ndarray:
         """Real samples of g, shape (na, components, q); row 0 is read as
@@ -288,12 +291,15 @@ class Transform:
 
     def project(self, vals: np.ndarray) -> np.ndarray:
         """Mode coefficients (nt+1, nr) of real samples (na, components, q)
-        of the first quantity: the quadrature of <field, mode>."""
-        spec = np.fft.rfft(vals, axis=0, norm="forward")
-        what = spec[self._alias]
-        what[self._fold] = np.conj(what[self._fold])
+        of the first quantity: the quadrature of <field, mode>.  vals may be
+        the samples buffer itself, which the weights then overwrite."""
+        np.multiply(vals, self.w, out=self.samples)
+        np.fft.rfft(self.samples, axis=0, norm="forward", out=self._rspec)
+        what = np.take(self._rspec, self._alias, axis=0, out=self._what, mode="clip")
+        if self._folds.size:
+            what[self._folds] = np.conj(what[self._folds])
         what *= np.conj(self.phase[: what.shape[1]])
-        out = np.matmul(self.weighted, _pairs(what.reshape(self.nt + 1, -1)))
+        out = np.matmul(self.proj, _pairs(what.reshape(self.nt + 1, -1)))
         return 2.0 * np.pi * (out[..., 0] + 1j * out[..., 1])
 
 

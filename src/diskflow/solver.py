@@ -167,7 +167,7 @@ class _Engine:
                             ("velocity", "vorticity"))
         # per-n views of tf.stack's rows; perfbench reads them by these names
         self.prof_u, self.prof_g = list(self.tf.rows[:, :2]), list(self.tf.rows[:, 2:])
-        self.proj = list(self.tf.weighted)  # per-n views
+        self.proj = list(self.tf.proj)
 
     def norms(self, g: np.ndarray) -> tuple[float, float]:
         return (float(norm_sq_series(g, self.basis, "velocity")),
@@ -176,7 +176,9 @@ class _Engine:
     def convective(self, g: np.ndarray) -> np.ndarray:
         """Projection of u.grad(u), as omega z x u, onto every mode."""
         phys = self.tf.synthesize(g)  # (u^r, u^theta, omega) per node
-        return self.tf.project(phys[:, 2:] * np.stack([-phys[:, 1], phys[:, 0]], axis=1))
+        prod = np.multiply(phys[:, 2:], phys[:, 1::-1], out=self.tf.samples)
+        np.negative(prod[:, 0], out=prod[:, 0])  # omega z x u = omega (-u^theta, u^r)
+        return self.tf.project(prod)
 
     def flux(self, g: np.ndarray, h: np.ndarray) -> float:
         """Reality-weighted pairing: the flux <N(g), u> for h = N(g), the

@@ -1,14 +1,16 @@
 """The convective kernel works on real radial factors with their phases
 applied apart; these checks hold it to the complex formula it replaced."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from diskflow.basis import PHASES, StokesBasis, stokes_basis
 from diskflow import solver
-from diskflow.field import SpectralCoeffs, _gauss_radial
-from diskflow.solver import (SimConfig, _Engine, make_initial, nonlinear_coeffs,
-                             simulate)
+from diskflow.field import SpectralCoeffs, _gauss_radial, build_grid, project, synthesize
+from diskflow.solver import (SimConfig, _Engine, default_dt, make_initial,
+                             nonlinear_coeffs, simulate)
 
 
 def complex_profiles(basis, n, r, quantity, nr):
@@ -85,3 +87,45 @@ def test_flux_vanishes_on_underresolved_radial_rules(monkeypatch, q):
     g = make_initial("generic", 12, 12, seed=3).g
     u2, w2 = eng.norms(g)
     assert abs(eng.flux(g, eng.convective(g))) <= 1e-14 * u2 * np.sqrt(w2)
+
+
+def test_convective_buffers_carry_nothing_between_calls():
+    # the engine's sample and spectrum buffers are reused by every call and
+    # by default_dt's synthesis; no call may see what an earlier one left
+    n = 12
+    basis = stokes_basis(n, n)
+    cfg = SimConfig(nu=0.01, t_end=0.2, n_theta=n, n_r=n)
+    eng = _Engine(cfg, basis)
+    eng.convective(full_band_state(n, seed=1))
+    default_dt(cfg, eng, SpectralCoeffs(g=full_band_state(n, seed=2)))
+    g2 = make_initial("generic", n, n, seed=3).g
+    assert np.array_equal(eng.convective(g2), _Engine(cfg, basis).convective(g2))
+
+
+def test_projection_leaves_the_sample_unchanged():
+    basis = stokes_basis(10, 10)
+    grid = build_grid(64, 32, 0.0, validate_alpha=float(basis.alpha[:9, :8].max()))
+    c = SpectralCoeffs(g=0.3 * full_band_state(8, seed=4)[:, :8])
+    sample = synthesize(c, grid, basis, "vorticity")
+    before = sample.values.copy()
+    back = project(sample, basis, 8, 8)
+    assert np.array_equal(sample.values, before)
+    assert np.abs(back.g - c.g).max() < 1e-9
+
+
+def test_projection_reads_the_synthesis_stack_without_grid_temporaries():
+    n = 32
+    eng = _Engine(SimConfig(nu=0.01, t_end=0.2, n_theta=n, n_r=n), stokes_basis(n, n))
+    assert not hasattr(eng.tf, "weighted")
+    for views in (eng.proj, eng.prof_u, eng.prof_g):
+        assert all(np.shares_memory(eng.tf.stack, v) for v in views)
+    g = make_initial("generic", n, n, seed=0).g
+    eng.convective(g)  # warm
+    tracemalloc.start()
+    try:
+        eng.convective(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (na, 2, q) sample grid is 211 KB here; numpy's 128 KB ufunc buffer fits
+    assert peak <= 256 * 1024
