@@ -1,11 +1,13 @@
 """Bessel functions of the first kind: values, derivatives, positive zeros.
 
-Self-contained double-precision kernel for integer orders.  Values come from
-the ascending power series for small arguments and from backward recurrence
-with sum normalization otherwise, at one order per argument; zeros come from
-asymptotic seeds refined by batched safeguarded Newton iteration.
-Everything is vectorized over the argument so that table construction and
-dense lemma scans stay cheap.
+Self-contained double-precision kernel for integer orders.  Each lane of a
+pass takes one of three routes by its own order n and argument x alone: the
+ascending power series for x <= 0.5; for x >= 25 and x > n, J_0 and J_1
+from Hankel's expansion and upward recurrence to n + 1, which is stable
+there; otherwise backward recurrence with sum normalization, started from
+a point that depends on n alone.  Zeros come from asymptotic seeds refined
+by batched safeguarded Newton iteration.  Everything is vectorized over the
+argument so that table construction and dense lemma scans stay cheap.
 """
 
 from __future__ import annotations
@@ -21,12 +23,29 @@ ORDER_MAX = 2048
 # Ascending series is used only where its terms decay from the start;
 # beyond this the alternating sum cancels and backward recurrence is stable.
 _SERIES_X_CUT = 0.5
+# From here on, _HANKEL_TERMS terms of Hankel's expansion give J_0 and J_1
+# to below 1e-17 of their envelope (the 20th term is 4e-18 at x = 25).
+_UPWARD_X_CUT = 25.0
+_HANKEL_TERMS = 20
 
 _RESCALE = 1.0e250
 _RESCALE_INV = 1.0e-250
 
 _ZERO_REL_TOL = 1.0e-12  # safeguarded-loop stop; polish steps finish the job
 _BLOCK = 1 << 14  # lanes per batched Bessel pass: bounds its workspace
+
+
+def _hankel_coefficients() -> np.ndarray:
+    """Rows (P_0, Q_0, P_1, Q_1) of (-1)^j a_{2j}(nu) and (-1)^j a_{2j+1}(nu),
+    a_k(nu) = prod_{i<=k} (4 nu^2 - (2i - 1)^2) / (k! 8^k) (DLMF 10.17.1),
+    each one integer quotient rounded once."""
+    a = [[math.prod(4 * nu * nu - (2 * i - 1) ** 2 for i in range(1, k + 1))
+          / (math.factorial(k) * 8**k) for k in range(_HANKEL_TERMS)] for nu in (0, 1)]
+    sign = (-1.0) ** np.arange(_HANKEL_TERMS // 2)
+    return np.array([row[parity::2] for row in a for parity in (0, 1)]) * sign
+
+
+_HANKEL = _hankel_coefficients()
 
 
 class BesselDomainError(ValueError):
@@ -47,55 +66,127 @@ def _check_order(n):
     return int(a) if a.ndim == 0 else a.ravel()
 
 
-def _miller(x: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """(J_{|n-1|}, J_n, J_{n+1}) at each x > 0 for its lane's order n, shape
-    (3, x.size); n is nondecreasing, so each store is a slice copy.
-
-    Normalized backward recurrence (Gautschi 1967): J_{m-1} = (2m/x) J_m -
-    J_{m+1} from high above the largest turning point, scaled by
-    J_0 + 2*sum_{m even} J_m = 1.  Lanes are rescaled on the fly against
-    overflow, and each store records its scale for the correction at the end.
-    """
-    p = x.size
+def _stores(n: np.ndarray) -> dict[int, list[tuple[int, int, int]]]:
+    """For lanes sorted by order n: {k: [(row of J_k, first lane, end lane)]},
+    each order's slots (J_{|n-1|}, J_n, J_{n+1}) as slices."""
     cuts = (np.flatnonzero(n[1:] != n[:-1]) + 1).tolist()
-    top = max(float(n[-1] + 1), float(x.max()))
-    m_start = int(np.ceil(top + 14.0 * np.cbrt(top) + 18.0))
-    stores = {}  # k: [(row of J_k, first lane, end lane)]
-    for s, e in zip([0] + cuts, cuts + [p]):
+    stores = {}
+    for s, e in zip([0] + cuts, cuts + [n.size]):
         o = int(n[s])
         for slot, k in enumerate((abs(o - 1), o, o + 1)):
             stores.setdefault(k, []).append((slot, s, e))
+    return stores
+
+
+def _miller(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """(J_{|n-1|}, J_n, J_{n+1}) at each x > 0 for its lane's order n, shape
+    (3, x.size), where x < max(n + 1, _UPWARD_X_CUT); n is nondecreasing.
+
+    Normalized backward recurrence (Gautschi 1967): J_{m-1} = (2m/x) J_m -
+    J_{m+1}, scaled by J_0 + 2*sum_{m even} J_m = 1.  A lane joins at
+    m = t + 14 t^(1/3) + 18, t = max(n + 1, _UPWARD_X_CUT), above its turning
+    point; this depends on its order alone, so the lanes running at any m are
+    a suffix of the sorted array and every store is a slice copy.  Lanes are
+    rescaled on the fly against overflow, and each store records its scale
+    for the correction at the end.
+    """
+    p = x.size
+    top = np.maximum(n + 1.0, _UPWARD_X_CUT)
+    joins = np.ceil(top + 14.0 * np.cbrt(top) + 18.0).astype(int)
+    first = np.searchsorted(joins, np.arange(joins[-1] + 2)).tolist()  # lanes at m: first[m]:
+    stores = _stores(n)
     out = np.zeros((3, p))
     oexp = np.zeros((3, p), dtype=np.int16)  # rescale counts: at most ~30
     exp = np.zeros(p, dtype=np.int16)
-    a = np.zeros(p)           # J_{m+1}
-    b = np.full(p, 1e-30)     # J_m
+    a, b = np.empty((2, p))   # J_{m+1}, J_m
     tmp = np.empty(p)
     even_sum = np.zeros(p)    # 2 * sum of positive even orders
     inv_x = 1.0 / x
-    for m in range(m_start, 0, -1):
-        np.multiply(b, inv_x, out=tmp)
-        tmp *= 2.0 * m
-        np.subtract(tmp, a, out=a)   # a becomes J_{m-1}
-        a, b = b, a                  # now a = J_m, b = J_{m-1}
+    for m in range(joins[-1], 0, -1):
+        s = first[m]
+        if s < first[m + 1]:  # lanes of the next orders join
+            a[s:first[m + 1]], b[s:first[m + 1]] = 0.0, 1e-30
+        np.multiply(b[s:], inv_x[s:], out=tmp[s:])
+        tmp[s:] *= 2.0 * m
+        np.subtract(tmp[s:], a[s:], out=a[s:])   # a becomes J_{m-1}
+        a, b = b, a                              # now a = J_m, b = J_{m-1}
         k = m - 1
         if k > 0 and k % 2 == 0:
-            even_sum += b
-        if m % 8 == 0 and np.max(np.abs(b)) > _RESCALE:
-            bigmask = np.abs(b) > _RESCALE
+            even_sum[s:] += b[s:]
+        if m % 8 == 0 and np.max(np.abs(b[s:])) > _RESCALE:
+            bigmask = np.abs(b[s:]) > _RESCALE
             scale = np.where(bigmask, _RESCALE_INV, 1.0)
-            a *= scale
-            b *= scale
-            even_sum *= scale
-            exp = exp + bigmask
-        for slot, s, e in stores.get(k, ()):
-            out[slot, s:e] = b[s:e]
-            oexp[slot, s:e] = exp[s:e]
+            a[s:] *= scale
+            b[s:] *= scale
+            even_sum[s:] *= scale
+            exp[s:] += bigmask
+        for slot, lo, hi in stores.get(k, ()):
+            out[slot, lo:hi] = b[lo:hi]
+            oexp[slot, lo:hi] = exp[lo:hi]
     out /= b + 2.0 * even_sum  # b now holds J_0 (up to scale)
     if exp.any():
         with np.errstate(under="ignore"):
             for row, e in zip(out, oexp):  # a row at a time bounds the workspace
                 row *= np.power(_RESCALE_INV, (exp - e).astype(float))
+    return out
+
+
+def _hankel_j0_j1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(J_0, J_1) at each x >= _UPWARD_X_CUT from Hankel's expansion (DLMF
+    10.17.3).  The phases x - pi/4 and x - 3 pi/4 enter through cos x and
+    sin x, so no rounded phase costs digits at large x.  Every step writes
+    into one (6, x.size) workspace or the two 1/x arrays."""
+    inv = 1.0 / x
+    y = inv * inv
+    p0, q0, p1, q1, c, s = rows = np.empty((6, x.size))  # P_0, x Q_0, P_1, x Q_1
+    for coef, row in zip(_HANKEL, rows):  # Horner in 1/x^2
+        row.fill(coef[-1])
+        for k in coef[-2::-1]:
+            row *= y
+            row += k
+    q0 *= inv
+    q1 *= inv
+    np.divide(inv, np.pi, out=y)
+    np.sqrt(y, out=y)               # y = sqrt(1 / (pi x))
+    np.cos(x, out=c)
+    np.sin(x, out=s)
+    np.add(c, s, out=inv)           # inv = cos x + sin x
+    c -= s                          # c = cos x - sin x
+    p0 *= inv
+    q0 *= c
+    p0 += q0                        # J_0 (pi x)^(1/2) = P_0 (c + s) + x Q_0 (c - s)
+    q1 *= inv
+    p1 *= c
+    q1 -= p1                        # J_1 (pi x)^(1/2) = x Q_1 (c + s) - P_1 (c - s)
+    p0 *= y
+    q1 *= y
+    return p0, q1
+
+
+def _upward(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """(J_{|n-1|}, J_n, J_{n+1}) at each x >= _UPWARD_X_CUT with x > n, shape
+    (3, x.size); n is nondecreasing.  J_{m+1} = (2m/x) J_m - J_{m-1} from
+    Hankel's J_0, J_1 is stable above the turning point (Numerical Recipes
+    6.5); the lanes still running at m, those with n >= m, are a suffix.
+    Each step divides 2m by x afresh: one rounded 1/x reused at every step
+    would add its error coherently, about 1e-16 x relative at x near n."""
+    p = x.size
+    stores = _stores(n)
+    out = np.empty((3, p))
+    a, b = _hankel_j0_j1(x)   # J_{m-1}, J_m at m = 1
+    tmp = np.empty(p)
+    first = np.searchsorted(n, np.arange(n[-1] + 1)).tolist()  # lanes at m: first[m]:
+    for k, row in ((0, a), (1, b)):
+        for slot, lo, hi in stores.get(k, ()):
+            out[slot, lo:hi] = row[lo:hi]
+    for m in range(1, n[-1] + 1):
+        s = first[m]
+        np.divide(2.0 * m, x[s:], out=tmp[s:])
+        tmp[s:] *= b[s:]
+        np.subtract(tmp[s:], a[s:], out=a[s:])   # a becomes J_{m+1}
+        a, b = b, a
+        for slot, lo, hi in stores.get(m + 1, ()):
+            out[slot, lo:hi] = b[lo:hi]
     return out
 
 
@@ -123,7 +214,9 @@ def _series_orders(orders: list[int], x: np.ndarray) -> np.ndarray:
 
 def jn_trio(n, x) -> np.ndarray:
     """Rows (J_{n-1}, J_n, J_{n+1}) at each x >= 0, J_{-1} = -J_1, for one
-    order n or one per argument; the recurrence runs on lanes sorted by order."""
+    order n or one per argument.  Each lane's route (series, upward or
+    backward recurrence) and its value depend on its own (n, x) alone; the
+    recurrences run on lanes sorted by order."""
     n = _check_order(n)
     x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     if x.size and x.min() < 0.0:
@@ -132,16 +225,15 @@ def jn_trio(n, x) -> np.ndarray:
     perm = np.argsort(n, kind="stable") if (n[1:] < n[:-1]).any() else None
     if perm is not None:
         x, n = x[perm], n[perm]
+    out = np.empty((3, x.size))
     small = x <= _SERIES_X_CUT
-    if not small.any():
-        out = _miller(x, n) if x.size else np.zeros((3, 0))
-    else:
-        out = np.empty((3, x.size))
-        for o in set(n[small].tolist()):  # np.unique would import numpy.ma
-            sel = small & (n == o)
-            out[:, sel] = _series_orders([abs(o - 1), o, o + 1], x[sel])
-        if not small.all():
-            out[:, ~small] = _miller(x[~small], n[~small])
+    up = (x >= _UPWARD_X_CUT) & (x > n)
+    for o in set(n[small].tolist()):  # np.unique would import numpy.ma
+        sel = small & (n == o)
+        out[:, sel] = _series_orders([abs(o - 1), o, o + 1], x[sel])
+    for route, sel in ((_upward, up), (_miller, ~(small | up))):
+        if sel.any():
+            out[:, sel] = route(x[sel], n[sel])
     np.negative(out[0], out=out[0], where=n == 0)
     if perm is not None:
         out[:, perm] = out.copy()

@@ -22,7 +22,6 @@ by the viscosity:
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -422,8 +421,11 @@ def _scan_layers(lemma, n_max, k_max, basis):
     extra = None
     if envelope:
         rows = _worst(n, k, d, m, "C1*delta^3", -m / d**3)
-        slopes = [float(np.polyfit(np.log(dk), np.log(mk), 1)[0]) for dk, mk in zip(d, m)]
-        extra = {"c2": _U_LAYER_C2, "slope_median": statistics.median(slopes),
+        # each row's least-squares slope of log m on log delta, in closed form
+        x, y = np.log(d), np.log(m)
+        x -= x.mean(axis=1, keepdims=True)
+        slopes = np.sum(x * y, axis=1) / np.sum(x * x, axis=1)
+        extra = {"c2": _U_LAYER_C2, "slope_median": float(np.median(slopes)),
                  "slope_min": float(np.min(slopes)),
                  "slope_max": float(np.max(slopes))}
     else:

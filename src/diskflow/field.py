@@ -95,21 +95,34 @@ def build_grid(n_radial, n_angular: int, r_lo: float = 0.0,
 @lru_cache(maxsize=256)
 def radial_rule(r_lo: float, alpha_max: float, n_start: int = 48) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule (r, w) on (r_lo, 1) for mode products up to alpha_max with
-    the fewest nodes >= n_start that pass _resolves: doubling finds a bracket,
-    bisection the count.  The J_0 check passes 4 nodes at delta = 0.01, n =
-    24, which miss the layer norms by 2e-7 relative, so 48 is the floor here;
-    layer_masses sizes the lemma scans' rules by self-convergence instead."""
+    the fewest nodes >= n_start that pass _resolves.  The count is predicted
+    from a = alpha_max (1 - r_lo), a product of frequency and length; the
+    search gallops from there (q, q -+ 1, q -+ 2, q -+ 4, ...) until a pass
+    and a fail bracket the count, then bisects.  The J_0 check passes 4
+    nodes at delta = 0.01, n = 24, which miss the layer norms by 2e-7
+    relative, so 48 is the floor here; layer_masses sizes the lemma scans'
+    rules by self-convergence instead."""
     if not (np.isfinite(r_lo) and np.isfinite(alpha_max)):
         raise GridError(f"radial rule needs finite r_lo and alpha, got "
                         f"({r_lo}, {alpha_max})")
-    lo, hi = n_start - 1, n_start  # lo fails or is below the floor
-    while not _resolves(hi, alpha_max, r_lo):
-        if hi >= n_start * 2**9:
-            raise GridError(f"radial rule not converged for alpha={alpha_max} on ({r_lo}, 1)")
-        lo, hi = hi, 2 * hi
+    cap = n_start * 2**9
+    a = alpha_max * (1.0 - r_lo)
+    q = min(max(n_start, round(0.5 * a + 3.0 * np.cbrt(a) + 1.0)), cap)
+    up = not _resolves(q, alpha_max, r_lo)
+    # lo fails or is below the floor; hi passes or is past the cap
+    lo, hi = (q, cap + 1) if up else (n_start - 1, q)
+    step, bracketed = 1, False
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if _resolves(mid, alpha_max, r_lo) else (mid, hi)
+        if bracketed:
+            t = (lo + hi) // 2
+        else:
+            t = min(q + step, hi - 1) if up else max(q - step, lo + 1)
+            step *= 2
+        passes = _resolves(t, alpha_max, r_lo)
+        bracketed |= passes == up
+        lo, hi = (lo, t) if passes else (t, hi)
+    if hi > cap:
+        raise GridError(f"radial rule not converged for alpha={alpha_max} on ({r_lo}, 1)")
     return _gauss_radial(hi, r_lo)
 
 
@@ -151,12 +164,16 @@ def layer_masses(basis: StokesBasis, n, k, delta,
                  quantity: str) -> tuple[np.ndarray, np.ndarray]:
     """Squared norms of the modes (n, k) over the layers 1 - delta < r < 1,
     arrays that broadcast to lanes, and each lane's Gauss node count.  From q
-    = 4 + ceil(alpha delta / 2), a lane's q- and ceil(1.5 q)-node masses come
-    from one Bessel pass; it keeps the finer once they agree to _MASS_TOL
-    relative (self-convergence: Davis & Rabinowitz, Methods of Numerical
-    Integration, 4.8), else reruns at ceil(1.5 q), up to _MASS_MAX_NODES."""
+    = max(5, ceil(a/2 + 3.5 a^(1/3) + 1.9)), a = alpha delta, a lane's q- and
+    ceil(1.5 q)-node masses come from one Bessel pass; it keeps the finer
+    once they agree to _MASS_TOL relative (self-convergence: Davis &
+    Rabinowitz, Methods of Numerical Integration, 4.8), else reruns at
+    ceil(1.5 q), up to _MASS_MAX_NODES.  The start bounds the counts the
+    vorticity lanes of the lemma scans need at n = k = 30 (a <= 24), so
+    all but one pass at once, and it keeps 5 for a <= 1/2."""
     n, k, delta = (np.ravel(v) for v in np.broadcast_arrays(n, k, delta))
-    q = 4 + np.ceil(0.5 * basis.alpha[n, k - 1] * delta).astype(int)
+    a = basis.alpha[n, k - 1] * delta
+    q = np.maximum(5, np.ceil(0.5 * a + 3.5 * np.cbrt(a) + 1.9)).astype(int)
     mass, todo = np.empty(n.size), np.arange(n.size)
     while todo.size:
         fine = (3 * q[todo] + 1) // 2

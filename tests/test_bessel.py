@@ -5,9 +5,9 @@ import pytest
 import scipy.special as sp
 
 import diskflow.bessel
-from diskflow.bessel import (X_MAX, BesselDomainError, ZeroConvergenceError, ZeroTable,
-                             bessel_j, bessel_j_prime, bessel_zero, compound_decay,
-                             jn_trio, zero_table)
+from diskflow.bessel import (ORDER_MAX, X_MAX, BesselDomainError, ZeroConvergenceError,
+                             ZeroTable, bessel_j, bessel_j_prime, bessel_zero,
+                             compound_decay, jn_trio, zero_table)
 from oracles import bisect_zero, central_diff, jn_block, series_jn, trapezoid_radial
 
 
@@ -53,6 +53,23 @@ def test_against_mpmath_spot_checks(rng):
         ref = np.array([float(mp.besselj(n, mp.mpf(float(v)))) for v in x])
         env = np.maximum(np.abs(ref), np.sqrt(2.0 / (np.pi * np.maximum(x, 1.0))))
         assert np.max(np.abs(mine - ref) / env) < 2e-13
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 64, 128, 400, ORDER_MAX])
+def test_trio_against_mpmath_on_every_route(n):
+    # at the turning point, above it, and near X_MAX, where a rounded phase
+    # x - pi/4 or a reused 1/x would cost digits; mpmath's default precision
+    # cap does not reach order ORDER_MAX near X_MAX, so those lanes are left out
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    rng = np.random.default_rng(n)
+    x = np.concatenate([n + rng.uniform(0.5, 3.0, 4), n + rng.uniform(3.0, 300.0, 4),
+                        rng.uniform(0.5 * X_MAX, X_MAX, 2 if n <= 400 else 0)])
+    got = jn_trio(n, x)
+    ref = np.array([[float(mp.besselj(o, mp.mpf(float(v)))) for v in x]
+                    for o in (n - 1, n, n + 1)])
+    env = np.maximum(np.abs(ref), np.sqrt(2.0 / (np.pi * np.maximum(x, 1.0))))
+    assert np.max(np.abs(got - ref) / env) < (1e-14 if n <= 128 else 1e-13)
 
 
 def test_per_lane_orders_match_constant_order_calls(rng):

@@ -347,6 +347,39 @@ def test_engine_rule_has_the_fewest_passing_nodes(n, nodes):
     assert nodes - 1 < 48 or not _resolves(nodes - 1, eng.wavenumber, 0.0)
 
 
+def _doubling_and_bisection(r_lo, alpha, n_start):
+    """The fewest passing count >= n_start as radial_rule found it before it
+    predicted the count, and the checks made: doubling from the floor
+    brackets the count, bisection narrows the bracket."""
+    lo, hi, checks = n_start - 1, n_start, 1
+    while not _resolves(hi, alpha, r_lo):
+        lo, hi, checks = hi, 2 * hi, checks + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _resolves(mid, alpha, r_lo) else (mid, hi)
+        checks += 1
+    return hi, checks
+
+
+def test_radial_rule_matches_doubling_and_bisection(monkeypatch):
+    import diskflow.field
+
+    calls, oracle_checks = [], 0
+    monkeypatch.setattr(diskflow.field, "_resolves",
+                        lambda *a: calls.append(a) or _resolves(*a))
+    radial_rule.cache_clear()
+    for n_start in (48, 128):
+        for r_lo in (0.0, 0.5, 0.9, 0.99):
+            # 221.828... is the engine's wavenumber at n_theta = n_r = 32
+            for alpha in np.linspace(1.0, 400.0, 21).tolist() + [221.82805658256189]:
+                want, checks = _doubling_and_bisection(r_lo, alpha, n_start)
+                oracle_checks += checks
+                assert radial_rule(r_lo, alpha, n_start)[0].size == want, (r_lo, alpha, n_start)
+    # the predicted count saves most of the search's checks
+    assert len(calls) < 0.5 * oracle_checks
+    radial_rule.cache_clear()
+
+
 def test_inner_product_scan_validates_one_rule(monkeypatch):
     import diskflow.field
     from diskflow.diagnostics import verify_lemma
