@@ -32,7 +32,7 @@ _RESCALE = 1.0e250
 _RESCALE_INV = 1.0e-250
 
 _ZERO_REL_TOL = 1.0e-12  # safeguarded-loop stop; polish steps finish the job
-_BLOCK = 1 << 14  # lanes per batched Bessel pass: bounds its workspace
+_BLOCK = 1 << 14  # lanes per batched pass, Bessel or over a trace: bounds its workspace
 
 
 def _hankel_coefficients() -> np.ndarray:

@@ -28,8 +28,8 @@ import numpy as np
 
 from .basis import StokesBasis, stokes_basis
 from .bessel import _BLOCK, compound_decay, jn_trio, zero_table
-from .field import (SpectralCoeffs, _reality_weights, gram, layer_masses, layer_rule,
-                    live_rows, mode_inner_product, norm_sq_series)
+from .field import (SpectralCoeffs, _reality_weights, block_buffer, gram, layer_masses,
+                    layer_rule, live_rows, mode_inner_product, parseval_pair)
 from .solver import SimTrace
 
 CONDITION_KINDS = ("K1", "K2", "K3", "K4", "K5", "K6",
@@ -228,7 +228,8 @@ def condition_functional(trace: SimTrace, kind: str, schedule: ScheduleSpec,
 
 def vv_gap(trace: SimTrace, reference, basis: StokesBasis) -> float:
     """Sup over samples of the L2 distance between the trace velocity and a
-    reference velocity (steady coefficients or an aligned time series)."""
+    reference velocity (steady coefficients or an aligned time series),
+    one block of samples at a time (block_buffer)."""
     if isinstance(reference, SpectralCoeffs):
         ref = np.broadcast_to(reference.g, trace.g.shape)
     elif isinstance(reference, SimTrace):
@@ -238,8 +239,11 @@ def vv_gap(trace: SimTrace, reference, basis: StokesBasis) -> float:
         ref = reference.g
     else:
         raise TypeError("reference must be SpectralCoeffs or SimTrace")
-    u2 = norm_sq_series(trace.g - ref, basis, "velocity")
-    return float(np.sqrt(u2.max()))
+    lam = basis.lam[: trace.g.shape[1], : trace.g.shape[2]]
+    step, buf = block_buffer(trace.n_samples, lam.shape)
+    u2 = [parseval_pair(trace.g[i:i + step] - ref[i:i + step], lam, buf)[0]
+          for i in range(0, trace.n_samples, step)]
+    return float(np.sqrt(np.concatenate(u2).max()))
 
 
 def truncate_trace(trace: SimTrace, spec: TruncationSpec,

@@ -396,14 +396,31 @@ def norm_sq_series(g: np.ndarray, basis: StokesBasis | None, quantity: str,
     if rule is None:
         if quantity not in ("vorticity", "gradient", "velocity"):
             raise ValueError(f"no Parseval identity for quantity {quantity!r}")
-        mag = wr[:, None] * np.abs(g) ** 2
-        if quantity == "velocity":
-            mag = mag / basis.lam[: nt + 1, :nr]
-        return np.sum(mag, axis=(-2, -1))
+        lam = basis.lam[: nt + 1, :nr] if quantity == "velocity" else 1.0
+        states = g.reshape(-1, nt + 1, nr)
+        u2, w2 = parseval_pair(states, lam, np.empty(states.shape))
+        return (u2 if quantity == "velocity" else w2).reshape(g.shape[:-2])[()]
     rows = live_rows(g)
     parts = np.stack([g.real, g.imag])[..., rows, None, :]  # (2, ..., rows, 1, k)
     quad = np.sum((parts @ gram(basis, rows, quantity, rule, nr)) * parts, axis=(-2, -1))
     return np.sum(wr[rows] * quad, axis=(0, -1))
+
+
+def block_buffer(n_samples: int, shape: tuple) -> tuple[int, np.ndarray]:
+    """States per block of a pass over a trace of states of this shape
+    (_BLOCK elements, one state at least) and a float buffer for one block."""
+    step = max(1, _BLOCK // int(np.prod(shape)))
+    return step, np.empty((min(step, n_samples), *shape))
+
+
+def parseval_pair(g: np.ndarray, lam: np.ndarray, buf: np.ndarray) -> tuple:
+    """|u|^2 and |omega|^2 (the gradient's too) of each state of g[s, n, k]:
+    the Parseval sums over the disk, formed in place in the float buffer
+    buf[:s].  lam holds the eigenvalues the velocity sum divides by."""
+    mag = np.square(np.abs(g, out=buf[: len(g)]), out=buf[: len(g)])
+    np.multiply(_reality_weights(g.shape[1] - 1)[:, None], mag, out=mag)
+    w2 = np.sum(mag, axis=(1, 2))
+    return np.sum(np.divide(mag, lam, out=mag), axis=(1, 2)), w2
 
 
 def norm_l2(source, basis: StokesBasis | None = None, quantity: str = "vorticity",

@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .basis import StokesBasis, stokes_basis
-from .field import (SpectralCoeffs, Transform, _reality_weights, live_rows,
-                    norm_sq_series, radial_rule)
+from .field import (SpectralCoeffs, Transform, _reality_weights, block_buffer, live_rows,
+                    norm_sq_series, parseval_pair, radial_rule)
 
 
 class SolverInstability(RuntimeError):
@@ -106,14 +106,18 @@ class SimTrace:
         n_theta+1, n_r, n_r), with c_0 the trapezoid weights of the samples
         and c_1 those of every second sample (the halved trace): the time
         integral of a squared norm is linear in H.  Formed once per trace,
-        in one batched product over the live rows; the others stay zero."""
-        c = np.zeros((2, 1, 1, self.n_samples))
+        one product over the samples per live row into one reused (2, n_r, S)
+        buffer, the weighted conjugate of a row; the other rows stay zero."""
+        c = np.zeros((2, 1, self.n_samples))
         for w, t in enumerate((self.times, self.times[::2])):
             c[w, ..., :: w + 1] = 0.5 * (np.diff(t, prepend=t[0]) + np.diff(t, append=t[-1]))
         out = np.zeros((2, self.g.shape[1], self.g.shape[2], self.g.shape[2]))
-        rows = live_rows(self.g)
-        gl = self.g[:, rows].swapaxes(0, 1)  # (rows, samples, k)
-        out[:, rows] = (np.conj(gl.swapaxes(1, 2)) * c @ gl).real
+        buf = np.empty((2, self.g.shape[2], self.n_samples), complex)
+        for n in live_rows(self.g):
+            gn = self.g[:, n]  # (samples, k)
+            np.multiply(np.conj(gn.T, out=buf[0]), c[1], out=buf[1])
+            np.multiply(buf[0], c[0], out=buf[0])
+            out[:, n] = (buf @ gn).real
         return out
 
     def with_coeffs(self, gnew: np.ndarray) -> "SimTrace":
@@ -170,8 +174,8 @@ class _Engine:
         self.proj = list(self.tf.proj)
 
     def norms(self, g: np.ndarray) -> tuple[float, float]:
-        return (float(norm_sq_series(g, self.basis, "velocity")),
-                float(norm_sq_series(g, self.basis, "vorticity")))
+        (u2,), (w2,) = parseval_pair(g[None], self.lam, np.empty((1, *g.shape)))
+        return float(u2), float(w2)
 
     def convective(self, g: np.ndarray) -> np.ndarray:
         """Projection of u.grad(u), as omega z x u, onto every mode."""
@@ -255,10 +259,11 @@ def exact_linear_solution(init: SpectralCoeffs, basis: StokesBasis, nu: float,
     return SpectralCoeffs(g=linear_trace(init, basis, nu, [t]).g[0], time=init.time + t)
 
 
-def _step_count(config: SimConfig, dt: float) -> int:
-    """Steps of at most dt to t_end, refused if their trace exceeds memory."""
+def _step_count(config: SimConfig, dt: float) -> tuple[int, int]:
+    """Steps of at most dt to t_end and the states the run keeps (the first,
+    every sample_stride-th and the last), refused if their trace exceeds memory."""
     n_steps = max(1, int(np.ceil(config.t_end / dt - 1e-12)))
-    states = n_steps // config.sample_stride + 2
+    states = -(-n_steps // config.sample_stride) + 1
     size = states * (config.n_theta + 1) * config.n_r * 16  # complex128
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if size > memory:
@@ -266,12 +271,13 @@ def _step_count(config: SimConfig, dt: float) -> int:
             f"dt={dt:.6g} takes {n_steps} steps, whose trace of {states} states of "
             f"{config.n_theta + 1} x {config.n_r} complex ({size / 2**30:.1f} GiB) "
             f"exceeds physical memory ({memory / 2**30:.1f} GiB)")
-    return n_steps
+    return n_steps, states
 
 
 def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
-    """Run to t_end, recording sampled coefficients and running integrals."""
-    n_steps = _step_count(config, config.dt) if config.dt else None
+    """Run to t_end, recording sampled coefficients and running integrals
+    into one trace allocated at the size _step_count checked."""
+    counts = _step_count(config, config.dt) if config.dt else None
     basis = basis or stokes_basis(config.n_theta, config.n_r)
     if isinstance(config.init, SpectralCoeffs):
         state = config.init.copy()
@@ -283,7 +289,7 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
     state.time = 0.0
     state.g[0] = state.g[0].real  # row 0 is read as real, from sample 0 on
     eng = _Engine(config, basis)
-    n_steps = n_steps or _step_count(config, default_dt(config, eng, state))
+    n_steps, states = counts or _step_count(config, default_dt(config, eng, state))
     dt = config.t_end / n_steps
     if config.linear and config.forcing is None:
         # an unforced step is exactly decay * g, so the closed form at the
@@ -302,10 +308,10 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
     ein = 0.0
     phi, conv = eng.rhs(state.g, 0.0)
     fl = 0.0 if config.linear else eng.flux(state.g, conv)
-    # (time, g, |u|^2, |omega|^2, visc_cum, energy_in, flux) per sample
-    samples = [(state.time, state.g.copy(), u2, w2, visc, ein, fl)]
-    failed = False
-    message = ""
+    g = np.empty((states, *state.g.shape), complex)
+    series = np.empty((6, states))  # time, |u|^2, |omega|^2, visc_cum, energy_in, flux
+    g[0], series[:, 0] = state.g, (state.time, u2, w2, visc, ein, fl)
+    kept, failed, message = 1, False, ""
     try:
         for i in range(1, n_steps + 1):
             t = state.time
@@ -321,12 +327,13 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
             phi, conv = eng.rhs(state.g, state.time)
             fl = 0.0 if config.linear else eng.flux(state.g, conv)
             if i % config.sample_stride == 0 or i == n_steps:
-                samples.append((state.time, state.g.copy(), u2, w2, visc, ein, fl))
-    except SolverInstability as exc:
-        failed = True
-        message = str(exc)
-        samples.append((state.time, state.g.copy(), u2, w2, visc, ein, fl))
-    return SimTrace(config.nu, *map(np.asarray, zip(*samples)),
+                g[kept], series[:, kept] = state.g, (state.time, u2, w2, visc, ein, fl)
+                kept += 1
+    except SolverInstability as exc:  # the last accepted state closes the trace
+        failed, message = True, str(exc)
+        g[kept], series[:, kept] = state.g, (state.time, u2, w2, visc, ein, fl)
+        kept += 1
+    return SimTrace(config.nu, series[0, :kept], g[:kept], *series[1:, :kept],
                     failed=failed, message=message)
 
 
@@ -334,16 +341,22 @@ def linear_trace(init: SpectralCoeffs, basis: StokesBasis, nu: float,
                  times: np.ndarray) -> SimTrace:
     """Closed-form unforced linear trace sampled at the given times: each
     mode decays as exp(-nu lam t) and visc_cum is exact; no energy input
-    and no flux."""
+    and no flux.  Filled one block of samples at a time (block_buffer), so
+    beyond the trace and its series it allocates one float block."""
     times = np.asarray(times, dtype=float)
     lam = basis.lam[: init.n_theta + 1, : init.n_r]
-    wr = _reality_weights(init.n_theta)[:, None]
-    t = times[:, None, None]
-    g = init.g * np.exp(-nu * t * lam)
-    visc = np.sum(wr * np.abs(init.g) ** 2 * (1.0 - np.exp(-2.0 * nu * lam * t)) / lam,
-                  axis=(1, 2))
+    g = np.empty((times.size, *lam.shape), complex)
+    u2, w2, visc = np.empty((3, times.size))
+    mag0 = _reality_weights(init.n_theta)[:, None] * np.abs(init.g) ** 2
+    step, buf = block_buffer(times.size, lam.shape)
+    for i in range(0, times.size, step):
+        s = slice(i, i + step)
+        t, f = times[s, None, None], buf[: times[s].size]
+        np.multiply(init.g, np.exp(np.multiply(-nu * t, lam, out=f), out=f), out=g[s])
+        np.exp(np.multiply(-2.0 * nu * lam, t, out=f), out=f)
+        np.multiply(mag0, np.subtract(1.0, f, out=f), out=f)
+        visc[s] = np.sum(np.divide(f, lam, out=f), axis=(1, 2))
+        u2[s], w2[s] = parseval_pair(g[s], lam, buf)
     zero = np.zeros(times.size)
-    return SimTrace(nu=nu, times=times, g=g,
-                    u_norm_sq=norm_sq_series(g, basis, "velocity"),
-                    w_norm_sq=norm_sq_series(g, basis, "vorticity"),
+    return SimTrace(nu=nu, times=times, g=g, u_norm_sq=u2, w_norm_sq=w2,
                     visc_cum=visc, energy_in=zero, flux=zero)

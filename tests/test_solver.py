@@ -244,6 +244,11 @@ def test_unforced_blow_up_is_flagged_at_the_same_step(bas):
     assert tr.failed
     assert tr.times[-1] == pytest.approx(0.15)
     assert tr.message.startswith("norm grew") and "t=0.15 " in tr.message
+    # the partial trace ends with the last accepted state, kept once more
+    assert tr.g.shape[0] == tr.times.size == 5
+    for series in (tr.u_norm_sq, tr.w_norm_sq, tr.visc_cum, tr.energy_in, tr.flux):
+        assert series.shape == tr.times.shape
+    assert np.array_equal(tr.g[-1], tr.g[-2]) and tr.times[-1] == tr.times[-2]
 
 
 def _complex_row_0_state():
