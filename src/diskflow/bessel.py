@@ -290,20 +290,24 @@ def _block_zeros(n: np.ndarray, k: np.ndarray) -> np.ndarray:
 
     Seeds lie within 0.01 and the zeros of J_n more than pi apart, so
     seed -+ 1 holds one zero: the k-th if J_n has the sign (-1)^(k-1) at the
-    left end and the other at the right, which one pass checks.  Safeguarded
-    Newton (bisection when a step leaves the bracket) and two polish steps
-    follow.
+    left end and the other at the right.  One pass over the lanes (lo, hi,
+    seed), 3 per zero, checks that and serves the first Newton step.
+    Safeguarded Newton (bisection when a step leaves the bracket) makes one
+    pass per further step, and two polish steps follow, the first from the
+    rows of the last step.  A lane's rows depend on its own (n, x) alone, so
+    the zeros are those of a fresh pass per step.
     """
     x = _zero_seeds(n, k)
     lo, hi = x - 1.0, x + 1.0
     sign_lo = np.where(k % 2 == 1, 1.0, -1.0)
-    ends = jn_trio(np.repeat(n, 2), np.stack([lo, hi], axis=1).ravel())[1]
-    bad = np.flatnonzero(~((ends[0::2] * sign_lo > 0.0) & (ends[1::2] * sign_lo < 0.0)))
+    rows = jn_trio(np.repeat(n, 3), np.stack([lo, hi, x], axis=1).ravel())
+    ends = rows[1]
+    bad = np.flatnonzero(~((ends[0::3] * sign_lo > 0.0) & (ends[1::3] * sign_lo < 0.0)))
     if bad.size:
         raise ZeroConvergenceError(f"no bracket for j_(n,k) at ({n[bad[0]]}, {k[bad[0]]})")
+    jm1, f, jp1 = rows[:, 2::3]
     done = np.zeros(x.shape, dtype=bool)
     for _ in range(120):
-        jm1, f, jp1 = jn_trio(n, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = 2.0 * f / (jm1 - jp1)
         # Convergence is judged on the proposed Newton step: near the root
@@ -317,15 +321,15 @@ def _block_zeros(n: np.ndarray, k: np.ndarray) -> np.ndarray:
         inside = (xn > lo) & (xn < hi) & np.isfinite(xn)
         xn = np.where(inside, xn, 0.5 * (lo + hi))
         x = np.where(done, x, xn)
-        if done.all():
+        if done.all():  # so x is still where the rows were taken
             break
+        jm1, f, jp1 = jn_trio(n, x)
     else:
         raise ZeroConvergenceError(f"zero refinement stalled for orders {n[0]}..{n[-1]}")
     # Unsafeguarded Newton polish from inside the basin reaches ulp level.
-    for _ in range(2):
-        jm1, f, jp1 = jn_trio(n, x)
-        x = x - 2.0 * f / (jm1 - jp1)
-    return x
+    x = x - step
+    jm1, f, jp1 = jn_trio(n, x)
+    return x - 2.0 * f / (jm1 - jp1)
 
 
 class ZeroTable:

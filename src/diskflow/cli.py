@@ -14,16 +14,15 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .basis import StokesBasis, stokes_basis
+# each command imports the layers it runs; bessel serves EXIT_CODES
 from .bessel import ZeroConvergenceError, zero_table
-from .diagnostics import (CONDITION_KINDS, LEMMA_IDS, ScheduleSpec,
-                          condition_functional, verify_lemma, vv_gap)
-from .field import SpectralCoeffs
-from .solver import SimConfig, simulate
 
-SWEEP_KINDS = CONDITION_KINDS + ("gap",)
+if TYPE_CHECKING:
+    from .diagnostics import ScheduleSpec
+    from .solver import SimConfig
 
 # Exit codes: 0 success, 1 a failed simulation or strict inequality, and one
 # per failure class: 2 invalid arguments, config or input file (also a sweep
@@ -80,6 +79,8 @@ def _with_seed(cfg: dict, seed: int | None) -> dict:
 def _resolve_init(spec, base: Path):
     """A preset name, or the coefficients of {"file": path}; a relative
     path is read from the config file's directory."""
+    from .field import SpectralCoeffs
+
     if isinstance(spec, str):
         return spec
     if isinstance(spec, dict) and isinstance(spec.get("file"), str):
@@ -93,6 +94,8 @@ def _resolve_init(spec, base: Path):
 
 
 def _sim_config(cfg: dict, base: Path) -> SimConfig:
+    from .solver import SimConfig
+
     init = _resolve_init(_expect(cfg, "init", (str, dict), "radial-1"), base)
     dt = _expect(cfg, "dt", (int, float, type(None)), None)  # null: automatic
     return SimConfig(
@@ -125,6 +128,8 @@ def cmd_zeros(args, outdir: Path) -> tuple[int, dict]:
 
 
 def cmd_basis(args, outdir: Path) -> tuple[int, dict]:
+    from .basis import StokesBasis
+
     bas = StokesBasis(args.n_max, args.k_max)
     rows = []
     for n in range(args.n_max + 1):
@@ -138,6 +143,8 @@ def cmd_basis(args, outdir: Path) -> tuple[int, dict]:
 
 
 def cmd_simulate(args, outdir: Path) -> tuple[int, dict]:
+    from .solver import simulate
+
     cfg = _with_seed(_load_config(args), args.seed)
     sim = _sim_config(cfg, Path(args.config).parent)
     snap_stride = int(_expect(cfg, "snapshot_stride", int, 0))
@@ -167,6 +174,10 @@ def cmd_simulate(args, outdir: Path) -> tuple[int, dict]:
 
 def _sweep_point(sim: SimConfig, schedule: ScheduleSpec, kinds: list) -> dict:
     """Evaluate one viscosity of a sweep; runs in a worker process."""
+    from .basis import stokes_basis
+    from .diagnostics import condition_functional, vv_gap
+    from .solver import simulate
+
     basis = stokes_basis(sim.n_theta, sim.n_r)
     out = {"nu": sim.nu, "values": {}, "error": ""}
     try:
@@ -185,6 +196,8 @@ def _sweep_point(sim: SimConfig, schedule: ScheduleSpec, kinds: list) -> dict:
 
 
 def cmd_sweep(args, outdir: Path) -> tuple[int, dict]:
+    from .diagnostics import CONDITION_KINDS, ScheduleSpec
+
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     cfg = _load_config(args)
@@ -194,10 +207,11 @@ def cmd_sweep(args, outdir: Path) -> tuple[int, dict]:
     if any(b >= a for a, b in zip(nu_list, nu_list[1:])):
         raise ConfigError("nu_list must be strictly decreasing")
     kinds = _expect(cfg, "kinds", list, required=True)
+    valid_kinds = CONDITION_KINDS + ("gap",)
     for kind in kinds:
-        if kind not in SWEEP_KINDS:
+        if kind not in valid_kinds:
             raise ConfigError(f"unknown condition kind {kind!r}; "
-                              f"valid: {', '.join(SWEEP_KINDS)}")
+                              f"valid: {', '.join(valid_kinds)}")
     sched_cfg = _expect(cfg, "schedule", dict, {})
     valid = ScheduleSpec.__dataclass_fields__
     for key in sched_cfg:
@@ -243,6 +257,8 @@ def cmd_sweep(args, outdir: Path) -> tuple[int, dict]:
 
 
 def cmd_verify(args, outdir: Path) -> tuple[int, dict]:
+    from .diagnostics import LEMMA_IDS, verify_lemma
+
     ids = LEMMA_IDS if args.lemmas == "all" else tuple(args.lemmas.split(","))
     bad = [i for i in ids if i not in LEMMA_IDS]
     if bad:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,7 +31,9 @@ from .basis import StokesBasis, stokes_basis
 from .bessel import _BLOCK, compound_decay, jn_trio, zero_table
 from .field import (SpectralCoeffs, _reality_weights, block_buffer, gram, layer_masses,
                     layer_rule, live_rows, mode_inner_product, parseval_pair)
-from .solver import SimTrace
+
+if TYPE_CHECKING:  # vv_gap imports it at call time, so verify loads no solver
+    from .solver import SimTrace
 
 CONDITION_KINDS = ("K1", "K2", "K3", "K4", "K5", "K6",
                    "N1", "N2", "N3", "N4", "N5", "N6", "N7")
@@ -230,6 +233,8 @@ def vv_gap(trace: SimTrace, reference, basis: StokesBasis) -> float:
     """Sup over samples of the L2 distance between the trace velocity and a
     reference velocity (steady coefficients or an aligned time series),
     one block of samples at a time (block_buffer)."""
+    from .solver import SimTrace
+
     if isinstance(reference, SpectralCoeffs):
         ref = np.broadcast_to(reference.g, trace.g.shape)
     elif isinstance(reference, SimTrace):

@@ -169,6 +169,18 @@ def test_seed_off_by_a_spacing_raises(monkeypatch, shift):
         ZeroTable(6, 6)
 
 
+@pytest.mark.parametrize("n_max, k_max, passes", [(8, 8, 5), (129, 128, 9)])
+def test_zero_refinement_pass_count(monkeypatch, n_max, k_max, passes):
+    # per block one bracket-and-seed pass, a pass per Newton step after the
+    # first and one polish pass; (129, 128) with its spare column is two
+    # blocks, the second converging a step sooner
+    trio, calls = diskflow.bessel.jn_trio, []
+    monkeypatch.setattr(diskflow.bessel, "jn_trio",
+                        lambda n, x: calls.append(n) or trio(n, x))
+    ZeroTable(n_max, k_max)
+    assert len(calls) == passes
+
+
 def test_zero_table_domain_guard():
     # j_{n,k} < pi (n/2 + k) for the spare column k_max + 1 must stay in range
     with pytest.raises(BesselDomainError, match="zeros below"):

@@ -175,6 +175,18 @@ def test_vv_gap_time_mismatch(bas):
         vv_gap(a, b, bas)
 
 
+def test_vv_gap_rejects_other_references(bas):
+    init = make_initial("radial-1", 0, 4)
+    tr = linear_trace(init, bas, 0.05, np.linspace(0, 1, 11))
+
+    class Lookalike:  # the fields vv_gap reads, but not a SimTrace
+        times, g = tr.times, tr.g
+
+    for reference in (tr.g, Lookalike()):
+        with pytest.raises(TypeError, match="SpectralCoeffs or SimTrace"):
+            vv_gap(tr, reference, bas)
+
+
 def test_triangle_decomposition_of_layer_vorticity(bas, sched):
     # whole <= 2 * low + 2 * residual, every piece computed independently
     rng = np.random.default_rng(3)

@@ -44,3 +44,21 @@ def test_traced_cli_records_every_layer_span(tmp_path):
         "verify", "--lemmas", "SomeL2InnerProductsAreZero,L2omegaGammaBound",
         "--n-max", "6", "--k-max", "6"])
     assert {"field.mode_inner_product", "diagnostics.verify_lemma"} <= names(verify)
+
+
+def test_traced_sweep_counts_every_functional_and_gap(tmp_path):
+    # the sweep imports its layers at call time; they must still be the wrappers
+    kinds = ["K1", "K2", "N1", "N7"]
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "nu_list": [0.05, 0.025], "kinds": kinds + ["gap"],
+        "schedule": {"a": 0.5, "b": 1.5, "gamma": 0.5, "c": 1.0},
+        "sim": {"t_end": 0.2, "dt": 0.001, "n_theta": 6, "n_r": 6, "init": "generic",
+                "linear": True}}))
+    sweep = run_traced(tmp_path, "sweep", ["sweep", "--config", str(cfg)])
+    counts = [s[0] for s in sweep]
+    assert counts.count("diagnostics.condition_functional") == 2 * len(kinds)
+    assert counts.count("diagnostics.vv_gap") == 2
+    assert counts.count("solver.simulate") == 2 and counts.count("cli.cmd") == 1
+    with open(tmp_path / "sweep" / "diagnostics.csv") as fh:
+        assert "nan" not in fh.read()
