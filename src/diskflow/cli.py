@@ -173,7 +173,7 @@ def cmd_simulate(args, outdir: Path) -> tuple[int, dict]:
 
 
 def _sweep_point(sim: SimConfig, schedule: ScheduleSpec, kinds: list) -> dict:
-    """Evaluate one viscosity of a sweep; runs in a worker process."""
+    """Evaluate one viscosity of a sweep, in a worker process if the sweep has several."""
     from .basis import stokes_basis
     from .diagnostics import condition_functional, vv_gap
     from .solver import simulate
@@ -228,11 +228,12 @@ def cmd_sweep(args, outdir: Path) -> tuple[int, dict]:
 
     sim = _sim_config({**sim_cfg, "nu": nu_list[0]}, Path(args.config).parent)
     sims = [replace(sim, nu=float(nu)) for nu in nu_list]
-    if args.threads > 1:
+    # a fork pool starts all its workers at the first submit: one per point at most
+    if (workers := min(args.threads, len(sims))) > 1:
         # imported here: at module level it adds ~15 ms to every command
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, sims, [schedule] * len(sims),
                                     [kinds] * len(sims)))
     else:

@@ -29,8 +29,8 @@ import numpy as np
 
 from .basis import StokesBasis, stokes_basis
 from .bessel import _BLOCK, compound_decay, jn_trio, zero_table
-from .field import (SpectralCoeffs, _reality_weights, block_buffer, gram, layer_masses,
-                    layer_rule, live_rows, mode_inner_product, parseval_pair)
+from .field import (SpectralCoeffs, block_buffer, gram, layer_masses, layer_rule, live_rows,
+                    mode_inner_product, pairing)
 
 if TYPE_CHECKING:  # vv_gap imports it at call time, so verify loads no solver
     from .solver import SimTrace
@@ -175,14 +175,11 @@ def condition_functional(trace: SimTrace, kind: str, schedule: ScheduleSpec,
         raise ValueError(f"unknown condition kind {kind!r}; "
                          f"valid: {', '.join(CONDITION_KINDS)}")
     nu = trace.nu
-    nt = trace.g.shape[1] - 1
-    nr = trace.g.shape[2]
-    thin = schedule.c * nu
-    wide = schedule.delta(nu)
+    nt, nr = trace.g.shape[1] - 1, trace.g.shape[2]
+    thin, wide = schedule.c * nu, schedule.delta(nu)
     if thin >= 1.0 or wide >= 1.0:
         raise ScheduleError(f"layer width exceeds the disk at nu={nu}")
-    L, M = schedule.L(nu), schedule.M(nu)
-    Ld = schedule.L(wide)
+    L, M, Ld = schedule.L(nu), schedule.M(nu), schedule.L(wide)
     if L < 1 or M <= L:
         raise ScheduleError(f"need 1 <= L < M at nu={nu}, got L={L}, M={M}")
 
@@ -209,10 +206,11 @@ def condition_functional(trace: SimTrace, kind: str, schedule: ScheduleSpec,
     }
     weight, quantity, delta, trunc = table[kind]
     rule = None if delta is None else layer_rule(delta, basis.alpha[: nt + 1, :nr])
-    # the time integral of the squared norm is Gram x moments over the rows
-    # that hold energy, on the moments masked to the kept modes; the Parseval
-    # Gram is I.  The rows are taken before the mask, so every kind of a trace
-    # shares them, and one Gram stack per quantity and rule serves them all.
+    # the time integral of the squared norm is the pairing of the moments,
+    # masked to the kept modes, with the Gram as the weight, over the rows
+    # that hold energy; the Parseval Gram is I.  The rows are taken before the
+    # mask, so every kind of a trace shares them, and one Gram stack per
+    # quantity and rule serves them all.
     rows = live_rows(trace.moments[0].reshape(nt + 1, -1))
     moments = trace.moments[:, rows]
     if trunc is not None:
@@ -220,7 +218,8 @@ def condition_functional(trace: SimTrace, kind: str, schedule: ScheduleSpec,
         moments = moments * keep[:, :, None] * keep[:, None, :]
     gr = np.eye(nr) if rule is None else gram(basis, rows, quantity, rule, nr)
     # over all samples and over the halved trace
-    full, half = np.sum(gr * moments, axis=(2, 3)) @ _reality_weights(nt)[rows]
+    full, half = pairing(moments.reshape(2, -1, nr * nr), gr.reshape(-1, nr * nr), b=1.0,
+                         rows=rows)[0]
     scale = max(abs(full), 1e-14)
     if trace.n_samples >= 5 and abs(full) > 1e-12 and abs(full - half) > 0.01 * scale:
         raise TraceResolutionError(
@@ -244,9 +243,9 @@ def vv_gap(trace: SimTrace, reference, basis: StokesBasis) -> float:
         ref = reference.g
     else:
         raise TypeError("reference must be SpectralCoeffs or SimTrace")
-    lam = basis.lam[: trace.g.shape[1], : trace.g.shape[2]]
-    step, buf = block_buffer(trace.n_samples, lam.shape)
-    u2 = [parseval_pair(trace.g[i:i + step] - ref[i:i + step], lam, buf)[0]
+    ilam = 1.0 / basis.lam[: trace.g.shape[1], : trace.g.shape[2]]
+    step, buf = block_buffer(trace.n_samples, ilam.shape)
+    u2 = [pairing(trace.g[i:i + step] - ref[i:i + step], ilam, buf=buf)[0]
           for i in range(0, trace.n_samples, step)]
     return float(np.sqrt(np.concatenate(u2).max()))
 

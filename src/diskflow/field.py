@@ -252,6 +252,24 @@ def _reality_weights(n_theta: int) -> np.ndarray:
     return w
 
 
+def pairing(a: np.ndarray, *weights, b=None, buf=None, rows=None) -> list:
+    """The reality-weighted Parseval pairing sum_n wr_n sum_k w[..., n, k]
+    Re(conj(a) b) of coefficients a[..., n, k] and b (a itself by default,
+    with no complex temporary) for each weight w, leading axes kept; wr_n
+    is 2 on the rows n >= 1 that stand for their conjugates, 1 on row 0,
+    and rows lists a's rows n (default all).  The products are formed once,
+    in the float buffer buf[:s] when given, and each weight multiplies them
+    in place in turn: weights 1 and 1/lam give |omega|^2 and |u|^2.  A sum
+    spans the last two axes at once, whatever the leading axes' sizes."""
+    shape = np.broadcast(a, *weights).shape
+    out = np.empty(shape) if buf is None else buf[: shape[0]]
+    p = out if a.shape == shape else np.empty(a.shape)
+    p = np.square(np.abs(a, out=p), out=p) if b is None else (np.conj(a) * b).real
+    wr = _reality_weights(a.shape[-2] - 1 if rows is None else max(rows, default=0))
+    np.multiply(p, wr[:, None] if rows is None else wr[rows, None], out=p)
+    return [(p := np.multiply(p, w, out=out)).sum(axis=(-2, -1)) for w in weights]
+
+
 def _pairs(z: np.ndarray) -> np.ndarray:
     """Complex z[..., m] viewed as real (Re, Im) pairs, shape (..., m, 2)."""
     return z.view(np.float64).reshape(*z.shape, 2)
@@ -386,24 +404,20 @@ def norm_sq_series(g: np.ndarray, basis: StokesBasis | None, quantity: str,
 
     With rule=None this is the Parseval sum over the whole disk (vorticity,
     gradient, velocity); with a radial rule (r, w) on (r_lo, 1) it is the
-    quadrature over the annulus r_lo < r < 1, one quadratic form per live
-    row with gram's stack.  Leading axes of g are kept, so a stack of states
-    gives one norm per state.  The vorticity and gradient Parseval sums need
-    no basis.
+    quadrature over the annulus r_lo < r < 1, each live row paired with its
+    image under gram's stack.  Both are pairings.  Leading axes of g are
+    kept, so a stack of states gives one norm per state.  The vorticity and
+    gradient Parseval sums need no basis.
     """
-    nt, nr = g.shape[-2] - 1, g.shape[-1]
-    wr = _reality_weights(nt)
     if rule is None:
         if quantity not in ("vorticity", "gradient", "velocity"):
             raise ValueError(f"no Parseval identity for quantity {quantity!r}")
-        lam = basis.lam[: nt + 1, :nr] if quantity == "velocity" else 1.0
-        states = g.reshape(-1, nt + 1, nr)
-        u2, w2 = parseval_pair(states, lam, np.empty(states.shape))
-        return (u2 if quantity == "velocity" else w2).reshape(g.shape[:-2])[()]
+        lam = basis.lam[: g.shape[-2], : g.shape[-1]] if quantity == "velocity" else 1.0
+        return pairing(g, 1.0 / lam)[0]
     rows = live_rows(g)
-    parts = np.stack([g.real, g.imag])[..., rows, None, :]  # (2, ..., rows, 1, k)
-    quad = np.sum((parts @ gram(basis, rows, quantity, rule, nr)) * parts, axis=(-2, -1))
-    return np.sum(wr[rows] * quad, axis=(0, -1))
+    gl = np.ascontiguousarray(g[..., rows, :], dtype=complex)
+    ggl = (gram(basis, rows, quantity, rule, g.shape[-1]) @ _pairs(gl)).view(complex)[..., 0]
+    return pairing(gl, 1.0, b=ggl, rows=rows)[0]
 
 
 def block_buffer(n_samples: int, shape: tuple) -> tuple[int, np.ndarray]:
@@ -411,16 +425,6 @@ def block_buffer(n_samples: int, shape: tuple) -> tuple[int, np.ndarray]:
     (_BLOCK elements, one state at least) and a float buffer for one block."""
     step = max(1, _BLOCK // int(np.prod(shape)))
     return step, np.empty((min(step, n_samples), *shape))
-
-
-def parseval_pair(g: np.ndarray, lam: np.ndarray, buf: np.ndarray) -> tuple:
-    """|u|^2 and |omega|^2 (the gradient's too) of each state of g[s, n, k]:
-    the Parseval sums over the disk, formed in place in the float buffer
-    buf[:s].  lam holds the eigenvalues the velocity sum divides by."""
-    mag = np.square(np.abs(g, out=buf[: len(g)]), out=buf[: len(g)])
-    np.multiply(_reality_weights(g.shape[1] - 1)[:, None], mag, out=mag)
-    w2 = np.sum(mag, axis=(1, 2))
-    return np.sum(np.divide(mag, lam, out=mag), axis=(1, 2)), w2
 
 
 def norm_l2(source, basis: StokesBasis | None = None, quantity: str = "vorticity",

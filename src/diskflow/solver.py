@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .basis import StokesBasis, stokes_basis
-from .field import (SpectralCoeffs, Transform, _reality_weights, block_buffer, live_rows,
-                    norm_sq_series, parseval_pair, radial_rule)
+from .field import (SpectralCoeffs, Transform, block_buffer, live_rows, norm_sq_series,
+                    pairing, radial_rule)
 
 
 class SolverInstability(RuntimeError):
@@ -156,9 +156,7 @@ class _Engine:
         if nt > basis.n_max or nr > basis.k_max:
             raise ValueError("truncation exceeds basis table")
         self.nt, self.nr = nt, nr
-        self.basis = basis
         self.lam = basis.lam[: nt + 1, :nr].copy()
-        self.wr = _reality_weights(nt)
         self.linear = config.linear
         self.forcing = config.forcing
         if self.linear:  # no convective term: no grid and no profiles
@@ -174,7 +172,7 @@ class _Engine:
         self.proj = list(self.tf.proj)
 
     def norms(self, g: np.ndarray) -> tuple[float, float]:
-        (u2,), (w2,) = parseval_pair(g[None], self.lam, np.empty((1, *g.shape)))
+        w2, u2 = pairing(g, 1.0, 1.0 / self.lam)
         return float(u2), float(w2)
 
     def convective(self, g: np.ndarray) -> np.ndarray:
@@ -183,11 +181,6 @@ class _Engine:
         prod = np.multiply(phys[:, 2:], phys[:, 1::-1], out=self.tf.samples)
         np.negative(prod[:, 0], out=prod[:, 0])  # omega z x u = omega (-u^theta, u^r)
         return self.tf.project(prod)
-
-    def flux(self, g: np.ndarray, h: np.ndarray) -> float:
-        """Reality-weighted pairing: the flux <N(g), u> for h = N(g), the
-        power <f, u> for h = f."""
-        return float(np.sum(self.wr[:, None] * (np.conj(g) * h).real))
 
     def rhs(self, g: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         conv = np.zeros_like(g) if self.linear else self.convective(g)
@@ -209,7 +202,7 @@ class _Engine:
         if self.forcing is not None:
             f0, f1 = self.forcing.at(t), self.forcing.at(t + dt)
             glin = decay * g + 0.5 * dt * self.lam * (decay * f0 + f1)
-            ref = max(u2, float(norm_sq_series(glin, self.basis, "velocity")))
+            ref = max(u2, self.norms(glin)[0])
         if u2_new > 100.0 * ref + 1e-300:
             raise SolverInstability(
                 f"norm grew {np.sqrt(u2_new / max(ref, 1e-300)):.2f}x in one step "
@@ -246,10 +239,9 @@ def step(state: SpectralCoeffs, config: SimConfig, dt: float,
     eng = _Engine(config, basis or stokes_basis(config.n_theta, config.n_r))
     if state.g.shape != (config.n_theta + 1, config.n_r):
         raise ValueError("state truncation does not match config")
-    u2, _ = eng.norms(state.g)
     phi, _ = eng.rhs(state.g, state.time)
     decay = np.exp(-config.nu * eng.lam * dt)
-    gnew, _, _ = eng.heun(state.g, phi, state.time, dt, decay, u2)
+    gnew, _, _ = eng.heun(state.g, phi, state.time, dt, decay, eng.norms(state.g)[0])
     return SpectralCoeffs(g=gnew, time=state.time + dt)
 
 
@@ -304,10 +296,9 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
     bwd_w = fwd_w / decay**2
 
     u2, w2 = eng.norms(state.g)
-    visc = 0.0
-    ein = 0.0
+    visc = ein = 0.0
     phi, conv = eng.rhs(state.g, 0.0)
-    fl = 0.0 if config.linear else eng.flux(state.g, conv)
+    fl = 0.0 if config.linear else pairing(state.g, 1.0, b=conv)[0]
     g = np.empty((states, *state.g.shape), complex)
     series = np.empty((6, states))  # time, |u|^2, |omega|^2, visc_cum, energy_in, flux
     g[0], series[:, 0] = state.g, (state.time, u2, w2, visc, ein, fl)
@@ -315,17 +306,14 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
     try:
         for i in range(1, n_steps + 1):
             t = state.time
-            gnew, u2_new, w2_new = eng.heun(state.g, phi, t, dt, decay, u2)
-            visc += 0.5 * float(
-                np.sum(eng.wr[:, None] * (np.abs(state.g) ** 2 * fwd_w
-                                          + np.abs(gnew) ** 2 * bwd_w)))
+            gnew, u2, w2 = eng.heun(state.g, phi, t, dt, decay, u2)
+            visc += 0.5 * float(pairing(state.g, fwd_w)[0] + pairing(gnew, bwd_w)[0])
             if config.forcing is not None:  # running 2 int <f, u>, trapezoid
-                ein += dt * (eng.flux(gnew, config.forcing.at(t + dt))
-                             + eng.flux(state.g, config.forcing.at(t)))
+                ein += dt * (pairing(gnew, 1.0, b=config.forcing.at(t + dt))[0]
+                             + pairing(state.g, 1.0, b=config.forcing.at(t))[0])
             state = SpectralCoeffs(g=gnew, time=t + dt)
-            u2, w2 = u2_new, w2_new
             phi, conv = eng.rhs(state.g, state.time)
-            fl = 0.0 if config.linear else eng.flux(state.g, conv)
+            fl = 0.0 if config.linear else pairing(state.g, 1.0, b=conv)[0]
             if i % config.sample_stride == 0 or i == n_steps:
                 g[kept], series[:, kept] = state.g, (state.time, u2, w2, visc, ein, fl)
                 kept += 1
@@ -347,16 +335,15 @@ def linear_trace(init: SpectralCoeffs, basis: StokesBasis, nu: float,
     lam = basis.lam[: init.n_theta + 1, : init.n_r]
     g = np.empty((times.size, *lam.shape), complex)
     u2, w2, visc = np.empty((3, times.size))
-    mag0 = _reality_weights(init.n_theta)[:, None] * np.abs(init.g) ** 2
     step, buf = block_buffer(times.size, lam.shape)
     for i in range(0, times.size, step):
         s = slice(i, i + step)
         t, f = times[s, None, None], buf[: times[s].size]
         np.multiply(init.g, np.exp(np.multiply(-nu * t, lam, out=f), out=f), out=g[s])
         np.exp(np.multiply(-2.0 * nu * lam, t, out=f), out=f)
-        np.multiply(mag0, np.subtract(1.0, f, out=f), out=f)
-        visc[s] = np.sum(np.divide(f, lam, out=f), axis=(1, 2))
-        u2[s], w2[s] = parseval_pair(g[s], lam, buf)
+        np.divide(np.subtract(1.0, f, out=f), lam, out=f)  # visc_cum's weight
+        visc[s] = pairing(init.g, f, buf=buf)[0]
+        w2[s], u2[s] = pairing(g[s], 1.0, 1.0 / lam, buf=buf)
     zero = np.zeros(times.size)
     return SimTrace(nu=nu, times=times, g=g, u_norm_sq=u2, w_norm_sq=w2,
                     visc_cum=visc, energy_in=zero, flux=zero)

@@ -459,6 +459,40 @@ def test_sweep_threads_match_serial(tmp_path):
             == (tmp_path / "pool" / "diagnostics.csv").read_bytes())
 
 
+def test_sweep_forks_no_more_workers_than_points(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class SerialPool:
+        """Records its worker count and maps in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = {"kinds": ["K1"], "sim": {"t_end": 0.25, "n_theta": 0, "n_r": 2, "dt": 0.005,
+                                    "init": "radial-1", "linear": True}}
+    for name, nu_list in (("two", [0.1, 0.05]), ("one", [0.1])):
+        cfgfile = tmp_path / f"{name}.json"
+        cfgfile.write_text(json.dumps({**cfg, "nu_list": nu_list}))
+        for threads in ("1", "64"):
+            assert main(["sweep", "--config", str(cfgfile), "--threads", threads,
+                         "--out", str(tmp_path / f"{name}{threads}")]) == 0
+        assert ((tmp_path / f"{name}1" / "diagnostics.csv").read_bytes()
+                == (tmp_path / f"{name}64" / "diagnostics.csv").read_bytes())
+    assert pools == [2]  # the one-point sweep ran in-process
+
+
 def test_verify_pass_and_exit_codes(tmp_path):
     out = tmp_path / "v"
     code = main(["verify", "--lemmas", "ZeroDifference,UsefulFunctionBound",

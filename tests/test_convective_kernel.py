@@ -8,7 +8,8 @@ import pytest
 
 from diskflow.basis import PHASES, StokesBasis, stokes_basis
 from diskflow import solver
-from diskflow.field import SpectralCoeffs, _gauss_radial, build_grid, project, synthesize
+from diskflow.field import (SpectralCoeffs, _gauss_radial, build_grid, pairing, project,
+                            synthesize)
 from diskflow.solver import (SimConfig, _Engine, default_dt, make_initial,
                              nonlinear_coeffs, simulate)
 
@@ -86,7 +87,7 @@ def test_flux_vanishes_on_underresolved_radial_rules(monkeypatch, q):
     assert eng.r.size == q
     g = make_initial("generic", 12, 12, seed=3).g
     u2, w2 = eng.norms(g)
-    assert abs(eng.flux(g, eng.convective(g))) <= 1e-14 * u2 * np.sqrt(w2)
+    assert abs(pairing(g, 1.0, b=eng.convective(g))[0]) <= 1e-14 * u2 * np.sqrt(w2)
 
 
 def test_convective_buffers_carry_nothing_between_calls():

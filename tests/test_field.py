@@ -7,10 +7,10 @@ import scipy.special as sp
 
 from diskflow.basis import QUANTITIES, StokesBasis, pair_profile, stokes_basis
 from diskflow.field import (_MASS_TOL, FieldSample, GridError, SpectralCoeffs,
-                            _gauss_radial, _lane_masses, _resolves, build_grid,
-                            gram, inner_product, layer_masses, layer_rule,
-                            mode_inner_product, norm_l2, norm_sq_series, project,
-                            radial_rule, synthesize)
+                            _gauss_radial, _lane_masses, _reality_weights, _resolves,
+                            build_grid, gram, inner_product, layer_masses, layer_rule,
+                            mode_inner_product, norm_l2, norm_sq_series, pairing,
+                            project, radial_rule, synthesize)
 from oracles import trapezoid_radial
 
 
@@ -145,6 +145,59 @@ def test_norm_sq_series_of_stack_matches_norm_l2(bas, rng, quantity):
         assert disk[i] == pytest.approx(norm_l2(c, bas, quantity), rel=1e-14)
         assert layer[i] == pytest.approx(
             norm_l2(c, bas, quantity, delta=0.3), rel=1e-14)
+
+
+def _pairing_by_loops(a, b, w, rows):
+    """sum_n wr_n sum_k w Re(conj(a) b), state by state and entry by entry,
+    with wr_n 1 on row 0 and 2 on every other row."""
+    a, b, w = np.broadcast_arrays(a, b, w)
+    out = np.zeros(a.shape[:-2])
+    for s in np.ndindex(out.shape):
+        for i, n in enumerate(rows):
+            for k in range(a.shape[-1]):
+                z = complex(a[s + (i, k)]).conjugate() * complex(b[s + (i, k)])
+                out[s] += (1.0 if n == 0 else 2.0) * float(w[s + (i, k)]) * z.real
+    return out
+
+
+def test_pairing_matches_a_per_state_double_loop(bas):
+    rng = np.random.default_rng(24)
+    a, b = (rng.standard_normal((3, 2, 5, 4)) + 1j * rng.standard_normal((3, 2, 5, 4))
+            for _ in range(2))
+    w = rng.uniform(0.5, 2.0, (5, 4))
+    got = pairing(a, w, b=b)[0]
+    assert got.shape == (3, 2)
+    scale = _pairing_by_loops(np.abs(a), np.abs(b), w, range(5)).max()
+    np.testing.assert_allclose(got, _pairing_by_loops(a, b, w, range(5)), rtol=0,
+                               atol=1e-14 * scale)
+    np.testing.assert_allclose(pairing(b, w, b=a)[0], got, rtol=1e-15)
+    # weights 1 and then 1/lam on a = b: |omega|^2 and |u|^2
+    lam = bas.lam[:5, :4]
+    w2, u2 = pairing(a, 1.0, 1.0 / lam)
+    wr = np.where(np.arange(5) == 0, 1.0, 2.0)[:, None]
+    np.testing.assert_allclose(u2, np.sum(wr * np.abs(a) ** 2 / lam, axis=(2, 3)),
+                               rtol=1e-13)
+    np.testing.assert_allclose(u2, _pairing_by_loops(a, a, 1.0 / lam, range(5)), rtol=1e-13)
+    np.testing.assert_allclose(w2, _pairing_by_loops(a, a, 1.0, range(5)), rtol=1e-13)
+
+
+def test_pairing_with_a_gram_weight_is_the_functionals_contraction(bas):
+    # condition_functional's sum over live rows of <G_n, H_n>, doubled for
+    # n >= 1, with the layer Gram and with the Parseval Gram I
+    nt, k, rng = 9, 6, np.random.default_rng(25)
+    rule = radial_rule(0.9, float(bas.alpha[: nt + 1, :k].max()))
+    for rows in (np.array([0, 2, 3, 7]), np.array([3, 7])):
+        shape = (2, rows.size, 8, k)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        moments = (np.conj(x.swapaxes(2, 3)) @ x).real  # like a trace's: positive definite
+        flat = moments.reshape(2, rows.size, k * k)
+        for gr in (gram(bas, rows, "vorticity", rule, k), np.eye(k)):
+            old = np.sum(gr * moments, axis=(2, 3)) @ _reality_weights(nt)[rows]
+            got = pairing(flat, gr.reshape(-1, k * k), b=1.0, rows=rows)[0]
+            assert got.shape == (2,)
+            np.testing.assert_allclose(got, old, rtol=1e-14)
+            loops = _pairing_by_loops(flat, 1.0, gr.reshape(-1, k * k), rows)
+            np.testing.assert_allclose(got, loops, rtol=1e-14)
 
 
 @pytest.mark.parametrize("quantity", list(QUANTITIES))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from diskflow.basis import stokes_basis
 from diskflow.diagnostics import TruncationSpec, _apply_mask, truncate
 from diskflow.field import (PolarGrid, SpectralCoeffs, build_grid, norm_l2,
-                            project, synthesize)
+                            pairing, project, synthesize)
 from diskflow.solver import SimConfig, _Engine
 
 BASIS = stokes_basis(8, 8)
@@ -57,7 +57,7 @@ def test_convective_flux_vanishes(case):
     eng = _Engine(SimConfig(nu=1.0, t_end=1.0, n_theta=nt, n_r=nr), BASIS)
     g = draw_state(nt, nr, seed)
     u2, w2 = eng.norms(g)
-    assert abs(eng.flux(g, eng.convective(g))) <= 1e-12 * u2 * np.sqrt(w2)
+    assert abs(pairing(g, 1.0, b=eng.convective(g))[0]) <= 1e-12 * u2 * np.sqrt(w2)
 
 
 specs = st.one_of(

@@ -49,7 +49,7 @@ def _unblocked_trace(init, bas, nu, times):
     wr = _reality_weights(init.n_theta)[:, None]
     t = times[:, None, None]
     g = init.g * np.exp(-nu * t * lam)
-    visc = np.sum(wr * np.abs(init.g) ** 2 * (1.0 - np.exp(-2.0 * nu * lam * t)) / lam,
+    visc = np.sum(np.abs(init.g) ** 2 * wr * ((1.0 - np.exp(-2.0 * nu * lam * t)) / lam),
                   axis=(1, 2))
     return (g, norm_sq_series(g, bas, "velocity"), norm_sq_series(g, bas, "vorticity"),
             visc)
