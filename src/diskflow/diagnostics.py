@@ -175,7 +175,7 @@ def condition_functional(trace: SimTrace, kind: str, schedule: ScheduleSpec,
         raise ValueError(f"unknown condition kind {kind!r}; "
                          f"valid: {', '.join(CONDITION_KINDS)}")
     nu = trace.nu
-    nt, nr = trace.g.shape[1] - 1, trace.g.shape[2]
+    nt1, nr = trace.states(0).shape
     thin, wide = schedule.c * nu, schedule.delta(nu)
     if thin >= 1.0 or wide >= 1.0:
         raise ScheduleError(f"layer width exceeds the disk at nu={nu}")
@@ -205,17 +205,17 @@ def condition_functional(trace: SimTrace, kind: str, schedule: ScheduleSpec,
         "N7": (1.0 / nu, "velocity", thin, band),
     }
     weight, quantity, delta, trunc = table[kind]
-    rule = None if delta is None else layer_rule(delta, basis.alpha[: nt + 1, :nr])
+    rule = None if delta is None else layer_rule(delta, basis.alpha[:nt1, :nr])
     # the time integral of the squared norm is the pairing of the moments,
     # masked to the kept modes, with the Gram as the weight, over the rows
     # that hold energy; the Parseval Gram is I.  The rows are taken before the
     # mask, so every kind of a trace shares them, and one Gram stack per
     # quantity and rule serves them all.
-    rows = live_rows(trace.moments[0].reshape(nt + 1, -1))
+    rows = live_rows(trace.moments[0].reshape(nt1, -1))
     moments = trace.moments[:, rows]
     if trunc is not None:
-        keep = _apply_mask(np.ones((nt + 1, nr)), *trunc)[rows]  # 1 on the kept modes
-        moments = moments * keep[:, :, None] * keep[:, None, :]
+        keep = _apply_mask(np.ones((nt1, nr)), *trunc)[rows]  # 1 on the kept modes
+        moments = moments * (keep[:, :, None] * keep[:, None, :])
     gr = np.eye(nr) if rule is None else gram(basis, rows, quantity, rule, nr)
     # over all samples and over the halved trace
     full, half = pairing(moments.reshape(2, -1, nr * nr), gr.reshape(-1, nr * nr), b=1.0,
@@ -234,19 +234,26 @@ def vv_gap(trace: SimTrace, reference, basis: StokesBasis) -> float:
     one block of samples at a time (block_buffer)."""
     from .solver import SimTrace
 
+    shape = trace.states(0).shape
     if isinstance(reference, SpectralCoeffs):
-        ref = np.broadcast_to(reference.g, trace.g.shape)
+        def ref(s, out):
+            return reference.g
     elif isinstance(reference, SimTrace):
         if (reference.times.size != trace.times.size
                 or not np.allclose(reference.times, trace.times, atol=1e-12)):
             raise ValueError("reference sample times do not match the trace")
-        ref = reference.g
+        ref = reference.states
     else:
         raise TypeError("reference must be SpectralCoeffs or SimTrace")
-    ilam = 1.0 / basis.lam[: trace.g.shape[1], : trace.g.shape[2]]
-    step, buf = block_buffer(trace.n_samples, ilam.shape)
-    u2 = [pairing(trace.g[i:i + step] - ref[i:i + step], ilam, buf=buf)[0]
-          for i in range(0, trace.n_samples, step)]
+    ilam = 1.0 / basis.lam[: shape[0], : shape[1]]
+    step, buf = block_buffer(trace.n_samples, shape)
+    a = np.empty((min(step, trace.n_samples), *shape), complex)
+    b = np.empty_like(a) if isinstance(reference, SimTrace) else a
+    u2 = []
+    for i in range(0, trace.n_samples, step):
+        s, m = slice(i, i + step), min(step, trace.n_samples - i)
+        d = np.subtract(trace.states(s, out=a[:m]), ref(s, out=b[:m]), out=a[:m])
+        u2.append(pairing(d, ilam, buf=buf)[0])
     return float(np.sqrt(np.concatenate(u2).max()))
 
 

@@ -264,7 +264,7 @@ def pairing(a: np.ndarray, *weights, b=None, buf=None, rows=None) -> list:
     shape = np.broadcast(a, *weights).shape
     out = np.empty(shape) if buf is None else buf[: shape[0]]
     p = out if a.shape == shape else np.empty(a.shape)
-    p = np.square(np.abs(a, out=p), out=p) if b is None else (np.conj(a) * b).real
+    p = np.square(np.abs(a, out=p), out=p) if b is None else (a.conj() * b).real
     wr = _reality_weights(a.shape[-2] - 1 if rows is None else max(rows, default=0))
     np.multiply(p, wr[:, None] if rows is None else wr[rows, None], out=p)
     return [(p := np.multiply(p, w, out=out)).sum(axis=(-2, -1)) for w in weights]

@@ -80,11 +80,16 @@ class SimConfig:
 
 @dataclass
 class SimTrace:
-    """Sampled history of one run: times, coefficients, and scalar series."""
+    """Sampled history of one run: times, coefficients, and scalar series.
+
+    A closed-form (unforced linear) trace is given g=None, the initial state
+    g0 and its eigenvalues lam, and computes each state g0 exp(-nu lam t)
+    when it is read.  states() is every library reader's access to them; g
+    itself is built in full, one block at a time, on first access."""
 
     nu: float
     times: np.ndarray
-    g: np.ndarray             # (S, n_theta+1, n_r) complex
+    g: np.ndarray | None      # (S, n_theta+1, n_r) complex, or None in closed form
     u_norm_sq: np.ndarray
     w_norm_sq: np.ndarray
     visc_cum: np.ndarray      # 2 nu * integral of |omega|^2 up to each time
@@ -92,13 +97,39 @@ class SimTrace:
     flux: np.ndarray          # convective energy flux <u.grad u, u> per sample
     failed: bool = False
     message: str = ""
+    g0: np.ndarray | None = None   # closed form: the state at t = 0
+    lam: np.ndarray | None = None  # and the eigenvalues of its modes
+
+    def __post_init__(self):
+        if self.g is None:  # closed form: g is built on first access
+            del self.g
+
+    def __getattr__(self, name):
+        if name != "g" or self.__dict__.get("g0") is None:
+            raise AttributeError(name)
+        g = np.empty((self.n_samples, *self.g0.shape), complex)
+        step = block_buffer(self.n_samples, self.g0.shape)[0]
+        for i in range(0, self.n_samples, step):
+            self.states(slice(i, i + step), out=g[i:i + step])
+        self.g = g
+        return g
 
     @property
     def n_samples(self) -> int:
         return self.times.size
 
+    def states(self, s=slice(None), n=slice(None), out=None) -> np.ndarray:
+        """The states g[s, n]: a view of the stored ones, or in closed form
+        g0[n] exp(-nu lam[n] t) at the sample times t[s], into out if given."""
+        if "g" in self.__dict__:
+            return self.g[s, n]
+        lam = self.lam[n]
+        t = self.times[s][(..., *(None,) * lam.ndim)]
+        return np.multiply(self.g0[n], np.exp(f := np.multiply(-self.nu * t, lam), out=f),
+                           out=out)
+
     def coeffs_at(self, i: int) -> SpectralCoeffs:
-        return SpectralCoeffs(g=self.g[i].copy(), time=float(self.times[i]))
+        return SpectralCoeffs(g=self.states(i).copy(), time=float(self.times[i]))
 
     @cached_property
     def moments(self) -> np.ndarray:
@@ -106,18 +137,20 @@ class SimTrace:
         n_theta+1, n_r, n_r), with c_0 the trapezoid weights of the samples
         and c_1 those of every second sample (the halved trace): the time
         integral of a squared norm is linear in H.  Formed once per trace,
-        one product over the samples per live row into one reused (2, n_r, S)
-        buffer, the weighted conjugate of a row; the other rows stay zero."""
+        one product over the samples per live row and weight, from one reused
+        (n_r, S) buffer, the weighted conjugate of a row; the other rows stay
+        zero.  A closed-form row is live where g0 is, and its states are
+        computed one row at a time into one reused (S, n_r) buffer."""
         c = np.zeros((2, 1, self.n_samples))
         for w, t in enumerate((self.times, self.times[::2])):
             c[w, ..., :: w + 1] = 0.5 * (np.diff(t, prepend=t[0]) + np.diff(t, append=t[-1]))
-        out = np.zeros((2, self.g.shape[1], self.g.shape[2], self.g.shape[2]))
-        buf = np.empty((2, self.g.shape[2], self.n_samples), complex)
-        for n in live_rows(self.g):
-            gn = self.g[:, n]  # (samples, k)
-            np.multiply(np.conj(gn.T, out=buf[0]), c[1], out=buf[1])
-            np.multiply(buf[0], c[0], out=buf[0])
-            out[:, n] = (buf @ gn).real
+        nt1, nr = self.states(0).shape
+        out = np.zeros((2, nt1, nr, nr))
+        buf, gn = np.empty((nr, self.n_samples), complex), None
+        for n in live_rows(self.__dict__.get("g", self.g0)):
+            gn = self.states(slice(None), n, out=gn)  # (samples, k), reused in closed form
+            for w in range(2):
+                out[w, n] = (np.multiply(np.conj(gn.T, out=buf), c[w], out=buf) @ gn).real
         return out
 
     def with_coeffs(self, gnew: np.ndarray) -> "SimTrace":
@@ -248,7 +281,7 @@ def step(state: SpectralCoeffs, config: SimConfig, dt: float,
 def exact_linear_solution(init: SpectralCoeffs, basis: StokesBasis, nu: float,
                           t: float) -> SpectralCoeffs:
     """Unforced linear (Stokes) solution: every mode decays as exp(-nu lam t)."""
-    return SpectralCoeffs(g=linear_trace(init, basis, nu, [t]).g[0], time=init.time + t)
+    return SpectralCoeffs(g=linear_trace(init, basis, nu, [t]).states(0), time=init.time + t)
 
 
 def _step_count(config: SimConfig, dt: float) -> tuple[int, int]:
@@ -329,21 +362,20 @@ def linear_trace(init: SpectralCoeffs, basis: StokesBasis, nu: float,
                  times: np.ndarray) -> SimTrace:
     """Closed-form unforced linear trace sampled at the given times: each
     mode decays as exp(-nu lam t) and visc_cum is exact; no energy input
-    and no flux.  Filled one block of samples at a time (block_buffer), so
-    beyond the trace and its series it allocates one float block."""
+    and no flux.  The trace holds init's state and lam, not its states
+    (SimTrace.states computes them); its series are filled one block of
+    samples at a time (block_buffer) in one complex and one float block."""
     times = np.asarray(times, dtype=float)
     lam = basis.lam[: init.n_theta + 1, : init.n_r]
-    g = np.empty((times.size, *lam.shape), complex)
-    u2, w2, visc = np.empty((3, times.size))
+    tr = SimTrace(nu, times, None, *np.empty((3, times.size)), *np.zeros((2, times.size)),
+                  g0=init.g.copy(), lam=lam)
     step, buf = block_buffer(times.size, lam.shape)
+    g = np.empty((min(step, times.size), *lam.shape), complex)
     for i in range(0, times.size, step):
         s = slice(i, i + step)
-        t, f = times[s, None, None], buf[: times[s].size]
-        np.multiply(init.g, np.exp(np.multiply(-nu * t, lam, out=f), out=f), out=g[s])
-        np.exp(np.multiply(-2.0 * nu * lam, t, out=f), out=f)
+        gs, f = tr.states(s, out=g[: times[s].size]), buf[: times[s].size]
+        np.exp(np.multiply(-2.0 * nu * lam, times[s, None, None], out=f), out=f)
         np.divide(np.subtract(1.0, f, out=f), lam, out=f)  # visc_cum's weight
-        visc[s] = pairing(init.g, f, buf=buf)[0]
-        w2[s], u2[s] = pairing(g[s], 1.0, 1.0 / lam, buf=buf)
-    zero = np.zeros(times.size)
-    return SimTrace(nu=nu, times=times, g=g, u_norm_sq=u2, w_norm_sq=w2,
-                    visc_cum=visc, energy_in=zero, flux=zero)
+        tr.visc_cum[s] = pairing(init.g, f, buf=buf)[0]
+        tr.w_norm_sq[s], tr.u_norm_sq[s] = pairing(gs, 1.0, 1.0 / lam, buf=buf)
+    return tr

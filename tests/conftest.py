@@ -10,6 +10,8 @@ def basis13():
     return stokes_basis(13, 13)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    """A fresh generator per test, so its inputs do not depend on which
+    tests ran before it."""
     return np.random.default_rng(1234)
