@@ -87,8 +87,9 @@ class StokesBasis:
         ns = ns.astype(float)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             self.d_const = np.where(ns >= 1, -self.lam * self.j_at_alpha / ns, np.nan)
-        # filled by field.gram; holds the five stacks of one trace's functionals
-        self._gram_cache = LRUCache(8)
+        # filled by field.gram: one gradient pass per rule caches five stacks,
+        # so a trace's thin and wide rules hold ten
+        self._gram_cache = LRUCache(10)
 
     def _check(self, n: int, k: int) -> None:
         if not (0 <= n <= self.n_max):
@@ -127,10 +128,10 @@ def radial_profiles(n, alphas: np.ndarray, c_signed: np.ndarray,
     The order n and the radii r > 0, shape (Q,), are shared by all K modes,
     or given per mode as shapes (K,) and (K, Q).  Returns {quantity: factors
     of shape (ncomp, K, Q)}, normalization included; the velocity also
-    returns the vorticity, and the gradient both, which they compute on the
-    way.  The velocity of a mode is (i n R(r), T(r)) exp(i n theta) in polar
-    components; every other quantity is built from J_n, R, T and their
-    radial derivatives.
+    returns the vorticity, and the gradient every other quantity, which
+    they compute on the way.  The velocity of a mode is (i n R(r), T(r))
+    exp(i n theta) in polar components; every other quantity is built from
+    J_n, R, T and their radial derivatives.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
@@ -168,6 +169,7 @@ def radial_profiles(n, alphas: np.ndarray, c_signed: np.ndarray,
         Tp = cs * (n * (n - 1) * ja * rn2 - a * a * jpp) * inv_a2
         out["gradient"] = np.stack([n * Rp, (-(n * n) * R - T) / r, Tp,
                                     n * (T + R) / r])
+        out["dtau_utau"], out["dtau_un"] = (n * T / r)[None], (-(n * n) * R / r)[None]
     return out
 
 

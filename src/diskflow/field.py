@@ -377,9 +377,10 @@ def gram(basis: StokesBasis, rows: np.ndarray, quantity: str,
     P of the modes (n, 1..k_max), one per n in rows, on the radial rule (r,
     w), shape (len(rows), k_max, k_max): row n of a state adds Re(conj(g_n)
     . G_n . g_n), doubled for n >= 1, to the squared norm over the rule's
-    annulus.  One radial_profiles pass, with one order per mode, builds the
-    stack; it is cached on the basis per (quantity, rows, rule) with the
-    stacks of every other quantity that pass returns.  No rows, no pass."""
+    annulus.  One gradient radial_profiles pass, with one order per mode,
+    builds the stacks of all five quantities (it refuses any other), cached
+    on the basis per (quantity, rows, rule), the requested one last, so every
+    kind of a trace on one rule shares a pass.  No rows, no pass."""
     r, w = rule
     rows = np.asarray(rows, dtype=np.intp)
     if not rows.size:
@@ -387,14 +388,13 @@ def gram(basis: StokesBasis, rows: np.ndarray, quantity: str,
     key = (k_max, rows.tobytes(), r.size, hash(r.tobytes()), hash(w.tobytes()))
     stack = basis._gram_cache.get((quantity,) + key)
     if stack is None:
-        for q, prof in radial_profiles(np.repeat(rows, k_max),
-                                       basis.alpha[rows, :k_max].ravel(),
-                                       basis.c_signed[rows, :k_max].ravel(),
-                                       r, quantity).items():
-            p = prof.reshape(prof.shape[0], rows.size, k_max, r.size)
-            basis._gram_cache[(q,) + key] = 2.0 * np.pi * np.sum(
+        profs = radial_profiles(np.repeat(rows, k_max), basis.alpha[rows, :k_max].ravel(),
+                                basis.c_signed[rows, :k_max].ravel(), r,
+                                "gradient" if quantity in QUANTITIES else quantity)
+        for q in sorted(profs, key=quantity.__eq__):
+            p = profs[q].reshape(profs[q].shape[0], rows.size, k_max, r.size)
+            basis._gram_cache[(q,) + key] = stack = 2.0 * np.pi * np.sum(
                 (p * w) @ p.swapaxes(2, 3), axis=0)
-        stack = basis._gram_cache[(quantity,) + key]
     return stack
 
 

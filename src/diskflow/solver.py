@@ -82,10 +82,12 @@ class SimConfig:
 class SimTrace:
     """Sampled history of one run: times, coefficients, and scalar series.
 
-    A closed-form (unforced linear) trace is given g=None, the initial state
-    g0 and its eigenvalues lam, and computes each state g0 exp(-nu lam t)
-    when it is read.  states() is every library reader's access to them; g
-    itself is built in full, one block at a time, on first access."""
+    A closed-form (unforced linear) trace is given g=None and no series, the
+    initial state g0 and its eigenvalues lam, and computes each state g0
+    exp(-nu lam t) when it is read.  states() is every library reader's
+    access to them; g itself is built in full, one block at a time, on first
+    access, and the first read of any of u_norm_sq, w_norm_sq and visc_cum
+    fills all three in one blocked pass."""
 
     nu: float
     times: np.ndarray
@@ -100,19 +102,36 @@ class SimTrace:
     g0: np.ndarray | None = None   # closed form: the state at t = 0
     lam: np.ndarray | None = None  # and the eigenvalues of its modes
 
+    _lazy = ("g", "u_norm_sq", "w_norm_sq", "visc_cum")  # closed form: built when read
+
     def __post_init__(self):
-        if self.g is None:  # closed form: g is built on first access
-            del self.g
+        for name in self._lazy:
+            if self.__dict__[name] is None:
+                del self.__dict__[name]
 
     def __getattr__(self, name):
-        if name != "g" or self.__dict__.get("g0") is None:
+        if name not in self._lazy or self.__dict__.get("g0") is None:
             raise AttributeError(name)
-        g = np.empty((self.n_samples, *self.g0.shape), complex)
-        step = block_buffer(self.n_samples, self.g0.shape)[0]
-        for i in range(0, self.n_samples, step):
-            self.states(slice(i, i + step), out=g[i:i + step])
-        self.g = g
-        return g
+        if name == "g":
+            g = np.empty((self.n_samples, *self.g0.shape), complex)
+            step = block_buffer(self.n_samples, self.g0.shape)[0]
+            for i in range(0, self.n_samples, step):
+                self.states(slice(i, i + step), out=g[i:i + step])
+            self.g = g
+            return g
+        # the series in one complex and one float block per block of samples
+        nu, lam, times = self.nu, self.lam, self.times
+        step, buf = block_buffer(times.size, lam.shape)
+        self.u_norm_sq, self.w_norm_sq, self.visc_cum = np.empty((3, times.size))
+        g = np.empty((min(step, times.size), *lam.shape), complex)
+        for i in range(0, times.size, step):
+            s = slice(i, i + step)
+            gs, f = self.states(s, out=g[: times[s].size]), buf[: times[s].size]
+            np.exp(np.multiply(-2.0 * nu * lam, times[s, None, None], out=f), out=f)
+            np.divide(np.subtract(1.0, f, out=f), lam, out=f)  # visc_cum's weight
+            self.visc_cum[s] = pairing(self.g0, f, buf=buf)[0]
+            self.w_norm_sq[s], self.u_norm_sq[s] = pairing(gs, 1.0, 1.0 / lam, buf=buf)
+        return self.__dict__[name]
 
     @property
     def n_samples(self) -> int:
@@ -286,8 +305,12 @@ def exact_linear_solution(init: SpectralCoeffs, basis: StokesBasis, nu: float,
 
 def _step_count(config: SimConfig, dt: float) -> tuple[int, int]:
     """Steps of at most dt to t_end and the states the run keeps (the first,
-    every sample_stride-th and the last), refused if their trace exceeds memory."""
-    n_steps = max(1, int(np.ceil(config.t_end / dt - 1e-12)))
+    every sample_stride-th and the last), refused if their count is not finite
+    (an automatic dt is 0 where nu lam overflows) or their trace exceeds memory."""
+    if not (dt > 0.0 and np.isfinite(ratio := config.t_end / dt)):
+        raise ValueError(f"dt={dt:.6g} takes more steps to t_end={config.t_end:.6g} "
+                         f"than a float can count")
+    n_steps = max(1, int(np.ceil(ratio - 1e-12)))
     states = -(-n_steps // config.sample_stride) + 1
     size = states * (config.n_theta + 1) * config.n_r * 16  # complex128
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -314,6 +337,12 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
     state.time = 0.0
     state.g[0] = state.g[0].real  # row 0 is read as real, from sample 0 on
     eng = _Engine(config, basis)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        u2, w2 = eng.norms(state.g)
+    if not np.isfinite(u2 + w2):
+        culprit = ("the init coefficients are" if isinstance(config.init, SpectralCoeffs)
+                   else f"amplitude={config.amplitude:g} is")
+        raise ValueError(f"initial |u|^2={u2:g}, |omega|^2={w2:g}: {culprit} too large")
     n_steps, states = counts or _step_count(config, default_dt(config, eng, state))
     dt = config.t_end / n_steps
     if config.linear and config.forcing is None:
@@ -328,7 +357,6 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
     fwd_w = (1.0 - decay**2) / eng.lam
     bwd_w = fwd_w / decay**2
 
-    u2, w2 = eng.norms(state.g)
     visc = ein = 0.0
     phi, conv = eng.rhs(state.g, 0.0)
     fl = 0.0 if config.linear else pairing(state.g, 1.0, b=conv)[0]
@@ -363,19 +391,10 @@ def linear_trace(init: SpectralCoeffs, basis: StokesBasis, nu: float,
     """Closed-form unforced linear trace sampled at the given times: each
     mode decays as exp(-nu lam t) and visc_cum is exact; no energy input
     and no flux.  The trace holds init's state and lam, not its states
-    (SimTrace.states computes them); its series are filled one block of
-    samples at a time (block_buffer) in one complex and one float block."""
+    (SimTrace.states computes them), and its series u_norm_sq, w_norm_sq
+    and visc_cum are filled on first read: a sweep reads none of them and
+    never builds them."""
     times = np.asarray(times, dtype=float)
     lam = basis.lam[: init.n_theta + 1, : init.n_r]
-    tr = SimTrace(nu, times, None, *np.empty((3, times.size)), *np.zeros((2, times.size)),
-                  g0=init.g.copy(), lam=lam)
-    step, buf = block_buffer(times.size, lam.shape)
-    g = np.empty((min(step, times.size), *lam.shape), complex)
-    for i in range(0, times.size, step):
-        s = slice(i, i + step)
-        gs, f = tr.states(s, out=g[: times[s].size]), buf[: times[s].size]
-        np.exp(np.multiply(-2.0 * nu * lam, times[s, None, None], out=f), out=f)
-        np.divide(np.subtract(1.0, f, out=f), lam, out=f)  # visc_cum's weight
-        tr.visc_cum[s] = pairing(init.g, f, buf=buf)[0]
-        tr.w_norm_sq[s], tr.u_norm_sq[s] = pairing(gs, 1.0, 1.0 / lam, buf=buf)
-    return tr
+    return SimTrace(nu, times, None, None, None, None, *np.zeros((2, times.size)),
+                    g0=init.g.copy(), lam=lam)

@@ -281,6 +281,35 @@ def test_trace_beyond_physical_memory_exits_2_before_any_allocation(
     assert not (tmp_path / "o" / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("case", ["subnormal-dt", "huge-nu", "amplitude-linear",
+                                  "amplitude-nonlinear", "init-file"])
+def test_an_unrepresentable_run_exits_2_naming_its_cause(tmp_path, capsys, case):
+    # t_end / dt overflows to inf, or the automatic dt underflows to 0, or the
+    # initial |u|^2 overflows: unchecked, the first two raised OverflowError
+    # and ZeroDivisionError (exit 1 with a traceback), and the linear run of
+    # the third wrote inf and nan to trace.csv and reported ok
+    over, named = {
+        "subnormal-dt": ({"dt": 1e-320}, r"dt=9\.99989e-321 takes more steps to "
+                         r"t_end=0\.1 than a float can count"),
+        "huge-nu": ({"nu": 1e308, "dt": None}, r"dt=0 takes more steps .*"),
+        "amplitude-linear": ({"init": "generic", "amplitude": 1e308},
+                             r"initial \|u\|\^2=inf, \|omega\|\^2=inf: amplitude=1e\+308 "
+                             r"is too large"),
+        "amplitude-nonlinear": ({"init": "generic", "amplitude": 1e308, "linear": False,
+                                 "dt": None}, r".*: amplitude=1e\+308 is too large"),
+        "init-file": ({"init": {"file": "big.json"}},
+                      r".*: the init coefficients are too large"),
+    }[case]
+    big = np.full((3, 3), 1e300).tolist()
+    (tmp_path / "big.json").write_text(json.dumps(
+        {"time": 0.0, "n_theta": 2, "n_r": 3, "re": big, "im": big}))
+    cfgfile = _write_sim_config(tmp_path, **over)
+    assert main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.fullmatch(r"diskflow simulate: " + named, err[0]), err
+    assert not (tmp_path / "o" / "trace.csv").exists()
+
+
 def test_zero_convergence_failure_exits_3(tmp_path, capsys, monkeypatch):
     import diskflow.cli
     from diskflow.bessel import ZeroConvergenceError

@@ -1,6 +1,8 @@
 """An unforced linear trace holds its initial state and eigenvalues, not its
-states: every reader computes the states it needs, with the same bits as a
-stored trace, and a sweep point's memory does not grow with samples x modes."""
+states or series: every reader computes the states it needs, with the same
+bits as a stored trace, and a sweep point's memory does not grow with
+samples x modes.  A sweep point builds no series, reads one sample for its
+gap and makes one Gram pass per radial rule."""
 
 import csv
 import json
@@ -41,10 +43,19 @@ def _peak(f):
     return out, peak
 
 
-def _sweep_point(bas, t_end):
-    tr = simulate(SimConfig(t_end=t_end, **POINT), bas)
-    values = [condition_functional(tr, kind, ScheduleSpec(), bas) for kind in CONDITION_KINDS]
+def _sweep_point(bas, cfg, schedule=ScheduleSpec()):
+    tr = simulate(cfg, bas)
+    values = [condition_functional(tr, kind, schedule, bas) for kind in CONDITION_KINDS]
     return tr, values + [vv_gap(tr, tr.coeffs_at(0), bas)]
+
+
+def _benchmark_points(monkeypatch):
+    """The sweep-linear config's sim settings, schedule and viscosities."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import SWEEP_CONFIG
+
+    return (SWEEP_CONFIG["sim"], ScheduleSpec(**SWEEP_CONFIG["schedule"]),
+            SWEEP_CONFIG["nu_list"])
 
 
 def _stored(tr):
@@ -54,9 +65,10 @@ def _stored(tr):
 
 
 def test_a_sweep_point_does_not_grow_with_samples_times_modes(bas):
-    _sweep_point(bas, 0.5)  # the Gram stacks and radial rules, cached on the basis
-    (short, _), low = _peak(lambda: _sweep_point(bas, 0.5))
-    (long, _), high = _peak(lambda: _sweep_point(bas, 2.0))
+    short_cfg, long_cfg = SimConfig(t_end=0.5, **POINT), SimConfig(t_end=2.0, **POINT)
+    _sweep_point(bas, short_cfg)  # the Gram stacks and radial rules, cached on the basis
+    (short, _), low = _peak(lambda: _sweep_point(bas, short_cfg))
+    (long, _), high = _peak(lambda: _sweep_point(bas, long_cfg))
     S, more = short.n_samples, long.n_samples - short.n_samples
     assert (S, long.n_samples) == (988, 3948)
     assert "g" not in short.__dict__ and "g" not in long.__dict__
@@ -123,3 +135,63 @@ def test_the_benchmark_sweep_never_builds_the_full_states(tmp_path, monkeypatch)
         values = [float(row["value"]) for row in csv.DictReader(fh)]
     assert len(values) == 42 and np.isfinite(values).all()
     check_op("sweep-linear", out, code, 0)
+
+
+def test_a_sweep_point_makes_one_gram_pass_per_rule_and_no_series(monkeypatch):
+    from diskflow import field
+    from diskflow.basis import QUANTITIES, StokesBasis, radial_profiles
+    from diskflow.field import gram, layer_rule, live_rows
+
+    sim, schedule, nus = _benchmark_points(monkeypatch)
+    passes = []
+
+    def counted(*args):
+        passes.append(args[-1])
+        return radial_profiles(*args)
+
+    monkeypatch.setattr(field, "radial_profiles", counted)
+    for nu in nus:
+        bas = StokesBasis(sim["n_theta"], sim["n_r"])  # its own Gram cache
+        passes.clear()
+        tr, _ = _sweep_point(bas, SimConfig(nu=nu, seed=0, **sim), schedule)
+        assert passes == ["gradient", "gradient"], (nu, passes)  # the thin and wide rules
+        assert not set(tr.__dict__) & {"g", "u_norm_sq", "w_norm_sq", "visc_cum"}
+        nt1, nr = tr.g0.shape
+        rows = live_rows(tr.moments[0].reshape(nt1, -1))
+        for width in (schedule.c * nu, schedule.delta(nu)):
+            r, w = layer_rule(width, bas.alpha[:nt1, :nr])
+            for q in QUANTITIES:  # each stack as its quantity's own pass builds it
+                prof = radial_profiles(np.repeat(rows, nr), bas.alpha[rows, :nr].ravel(),
+                                       bas.c_signed[rows, :nr].ravel(), r, q)[q]
+                p = prof.reshape(prof.shape[0], rows.size, nr, r.size)
+                own = 2.0 * np.pi * np.sum((p * w) @ p.swapaxes(2, 3), axis=0)
+                assert np.array_equal(gram(bas, rows, q, (r, w), nr), own), (nu, width, q)
+        assert passes == ["gradient", "gradient"]  # every stack was a cache hit
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_the_gap_at_the_last_sample_is_the_blocked_pass(monkeypatch, stride):
+    from dataclasses import replace
+
+    sim, _, nus = _benchmark_points(monkeypatch)
+    bas = stokes_basis(sim["n_theta"], sim["n_r"])
+    for seed in range(4):
+        for nu in nus:
+            tr = simulate(SimConfig(nu=nu, seed=seed, sample_stride=stride, **sim), bas)
+            stored = replace(tr, g=tr.g, g0=None, lam=None)  # states read from g
+            assert vv_gap(tr, tr.coeffs_at(0), bas) == vv_gap(stored, tr.coeffs_at(0), bas)
+
+
+def test_the_gap_against_the_initial_state_reads_one_sample(bas, monkeypatch):
+    tr = simulate(SimConfig(t_end=0.5, **POINT), bas)
+    states = SimTrace.states
+
+    def one_sample(self, s=slice(None), n=slice(None), out=None):
+        if isinstance(s, slice) and len(range(*s.indices(self.n_samples))) > 1:
+            raise AssertionError(f"states {s} read")
+        return states(self, s, n, out)
+
+    monkeypatch.setattr(SimTrace, "states", one_sample)
+    assert vv_gap(tr, tr.coeffs_at(0), bas) > 0.0
+    with pytest.raises(AssertionError):  # any other reference takes the blocked pass
+        vv_gap(tr, SpectralCoeffs(g=0.5 * tr.g0), bas)
