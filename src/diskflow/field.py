@@ -107,7 +107,7 @@ def radial_rule(r_lo: float, alpha_max: float, n_start: int = 48) -> tuple[np.nd
                         f"({r_lo}, {alpha_max})")
     cap = n_start * 2**9
     a = alpha_max * (1.0 - r_lo)
-    q = min(max(n_start, round(0.5 * a + 3.0 * np.cbrt(a) + 1.0)), cap)
+    q = min(max(n_start, round(0.5 * a + 3.0 * np.cbrt(a) + 2.0)), cap)
     up = not _resolves(q, alpha_max, r_lo)
     # lo fails or is below the floor; hi passes or is past the cap
     lo, hi = (q, cap + 1) if up else (n_start - 1, q)
@@ -277,25 +277,30 @@ def _pairs(z: np.ndarray) -> np.ndarray:
 
 class Transform:
     """Between states g[n, k] (n <= nt, k <= nr) and samples on na angles
-    times the radial nodes r (weights w): one real matmul per n of the
-    stacked radial factors, the phases applied apart, and one FFT.
-    Synthesis gives every quantity's components, exact pointwise at any na;
-    projection takes the first quantity back, reading row n at n mod na,
-    with the weights put on the samples and that quantity's rows of the
-    same stack transposed (proj).  Each row comes from one profile_matrix
-    pass of the first quantity, which must return the others (a velocity
-    pass also gives the vorticity).  Every sample and spectrum array of a
-    call is one of the transform's own buffers.
+    times the radial nodes r (weights w): real matmuls of the stacked radial
+    factors and one FFT.  Synthesis gives every quantity's components, exact
+    pointwise at any na, one matmul per run of stack rows of equal phase,
+    whose right-hand side is g or i g.  Projection takes the first quantity
+    back, reading row n at n mod na: its kept FFT rows times one complex
+    factor 2 pi conj(phase) w per component and node, then that quantity's
+    rows of the same stack transposed (proj).  Each row comes from one
+    profile_matrix pass of the first quantity, which must return the others
+    (a velocity pass also gives the vorticity).  Every sample and spectrum
+    array of a call is one of the transform's own buffers.
     """
 
     def __init__(self, basis: StokesBasis, nt: int, nr: int, r: np.ndarray,
                  w: np.ndarray, na: int, quantities: tuple[str, ...]):
-        self.nt, self.na, self.w = nt, na, w
+        self.nt, self.na = nt, na
         # synthesis keeps every m-th of m * na angles: row nt is below Nyquist
         self.m = -(-(2 * nt + 2) // na)
+        phase = sum((PHASES[q] for q in quantities), ())
+        ncomp, nq, nc0 = len(phase), r.size, QUANTITIES[quantities[0]]
+        # stack rows [a, b) of one phase, which is 1 or i
+        cut = [0, *(c for c in range(1, ncomp) if phase[c] != phase[c - 1]), ncomp]
+        self._runs = [(a * nq, b * nq, phase[a] == 1j) for a, b in zip(cut, cut[1:])]
+        self._factor = 2.0 * np.pi * np.conj(phase[:nc0])[:, None] * w
         # synthesis factors (component * q, k), filled per n to bound peak memory
-        self.phase = np.array(sum((PHASES[q] for q in quantities), ()))[:, None]
-        ncomp, nq, nc0 = self.phase.shape[0], r.size, QUANTITIES[quantities[0]]
         stack = np.empty((nt + 1, ncomp, nq, nr))
         self.rows = stack.swapaxes(2, 3)  # (n, component, k, q) view
         for n in range(nt + 1):
@@ -319,23 +324,26 @@ class Transform:
         real.  The result is a view of a buffer the next call overwrites."""
         nt, spec = self.nt, self._spec
         g = np.ascontiguousarray(g, dtype=complex)
-        np.matmul(self.stack, _pairs(g), out=_pairs(spec[: nt + 1].reshape(nt + 1, -1)))
-        spec[: nt + 1] *= self.phase
+        rows = spec[: nt + 1].reshape(nt + 1, -1)
+        for a, b, rotate in self._runs:  # i g only swaps and negates: exact
+            np.matmul(self.stack[:, a:b], _pairs(1j * g if rotate else g),
+                      out=_pairs(rows[:, a:b]))
         np.fft.irfft(spec, n=self.m * self.na, axis=0, norm="forward", out=self._phys)
         return self._phys[:: self.m]
 
     def project(self, vals: np.ndarray) -> np.ndarray:
         """Mode coefficients (nt+1, nr) of real samples (na, components, q)
-        of the first quantity: the quadrature of <field, mode>.  vals may be
-        the samples buffer itself, which the weights then overwrite."""
-        np.multiply(vals, self.w, out=self.samples)
-        np.fft.rfft(self.samples, axis=0, norm="forward", out=self._rspec)
-        what = np.take(self._rspec, self._alias, axis=0, out=self._what, mode="clip")
-        if self._folds.size:
+        of the first quantity: the quadrature of <field, mode>.  vals is
+        left unchanged; it may be the samples buffer itself."""
+        np.fft.rfft(vals, axis=0, norm="forward", out=self._rspec)
+        if not self._folds.size:  # row n is read at n: the product is the copy
+            what = np.multiply(self._rspec[: self.nt + 1], self._factor, out=self._what)
+        else:
+            what = np.take(self._rspec, self._alias, axis=0, out=self._what, mode="clip")
             what[self._folds] = np.conj(what[self._folds])
-        what *= np.conj(self.phase[: what.shape[1]])
+            what *= self._factor
         out = np.matmul(self.proj, _pairs(what.reshape(self.nt + 1, -1)))
-        return 2.0 * np.pi * (out[..., 0] + 1j * out[..., 1])
+        return out.view(complex)[..., 0]
 
 
 def synthesize(coeffs: SpectralCoeffs, grid: PolarGrid, basis: StokesBasis,

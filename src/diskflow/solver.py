@@ -109,6 +109,7 @@ class SimTrace:
             if self.__dict__[name] is None:
                 del self.__dict__[name]
 
+    @np.errstate(over="ignore")  # nu lam t past a float: exp(-inf) = 0
     def __getattr__(self, name):
         if name not in self._lazy or self.__dict__.get("g0") is None:
             raise AttributeError(name)
@@ -137,6 +138,7 @@ class SimTrace:
     def n_samples(self) -> int:
         return self.times.size
 
+    @np.errstate(over="ignore")
     def states(self, s=slice(None), n=slice(None), out=None) -> np.ndarray:
         """The states g[s, n]: a view of the stored ones, or in closed form
         g0[n] exp(-nu lam[n] t) at the sample times t[s], into out if given."""
@@ -194,7 +196,9 @@ def make_initial(name: str, n_theta: int, n_r: int, seed: int = 0,
         blk[0] = blk[0].real
         c.g[: bn + 1, :bk] = blk
         scale = np.sqrt(norm_sq_series(c.g, None, "vorticity"))
-        c.g *= amplitude / scale
+        if not np.isfinite(factor := amplitude / scale):
+            raise ValueError(f"amplitude={amplitude:g} is too large")
+        c.g *= factor
     else:
         raise ValueError(f"unknown initial-condition preset {name!r}")
     return c
@@ -239,27 +243,39 @@ class _Engine:
         f = self.forcing.at(t) if self.forcing is not None else 0.0
         return self.lam * (f - conv), conv
 
-    def heun(self, g: np.ndarray, phi: np.ndarray, t: float, dt: float,
-             decay: np.ndarray, u2: float) -> tuple[np.ndarray, float, float]:
+    def step_weights(self, nu: float, dt: float) -> tuple[np.ndarray, tuple]:
+        """decay = exp(-nu lam dt) and the successive pairing weights of
+        |omega|^2, |u|^2 and 2 nu int |omega|^2 over a step on each mode's
+        exact profile, forward from a state, (1 - decay^2) / lam, and back
+        to it, that over decay^2, whose exponent is capped to stay finite."""
+        decay = np.exp(-nu * self.lam * dt)
+        fwd_w = (1.0 - decay**2) / self.lam
+        back = np.exp(np.minimum(2.0 * nu * self.lam * dt, 700.0))
+        return decay, (1.0, 1.0 / self.lam, self.lam * fwd_w, back)
+
+    def heun(self, g: np.ndarray, phi: np.ndarray, t: float, dt: float, u2: float,
+             decay: np.ndarray, weights: tuple) -> tuple[np.ndarray, list]:
         """One exponential-Heun step of length dt from g at time t, where phi
-        is rhs(g, t) and u2 is |u|^2 of g; returns the new state and its
-        |u|^2 and |omega|^2.  Growth is judged against the larger of u2 and
-        |u|^2 of the step without convection (u2 itself when unforced)."""
+        is rhs(g, t), u2 is |u|^2 of g and decay and weights come from
+        step_weights; returns the new state and, from one pairing of it,
+        its |omega|^2, |u|^2 and forward and backward dissipation terms.
+        Growth is judged against the larger of u2 and |u|^2 of the step
+        without convection (u2 itself when unforced)."""
         gbar = decay * (g + dt * phi)
         phi2, _ = self.rhs(gbar, t + dt)
         gnew = decay * g + 0.5 * dt * (decay * phi + phi2)
         gnew[0] = gnew[0].real
-        u2_new, w2_new = self.norms(gnew)
+        terms = pairing(gnew, *weights)
         ref = u2
         if self.forcing is not None:
             f0, f1 = self.forcing.at(t), self.forcing.at(t + dt)
             glin = decay * g + 0.5 * dt * self.lam * (decay * f0 + f1)
             ref = max(u2, self.norms(glin)[0])
-        if u2_new > 100.0 * ref + 1e-300:
+        if not terms[1] <= 100.0 * ref + 1e-300:  # nan too
             raise SolverInstability(
-                f"norm grew {np.sqrt(u2_new / max(ref, 1e-300)):.2f}x in one step "
+                f"norm grew {np.sqrt(terms[1] / max(ref, 1e-300)):.2f}x in one step "
                 f"at t={t:.6g} (dt={dt:.3g})")
-        return gnew, u2_new, w2_new
+        return gnew, terms
 
 
 def nonlinear_coeffs(coeffs: SpectralCoeffs, basis: StokesBasis | None = None) -> np.ndarray:
@@ -292,8 +308,8 @@ def step(state: SpectralCoeffs, config: SimConfig, dt: float,
     if state.g.shape != (config.n_theta + 1, config.n_r):
         raise ValueError("state truncation does not match config")
     phi, _ = eng.rhs(state.g, state.time)
-    decay = np.exp(-config.nu * eng.lam * dt)
-    gnew, _, _ = eng.heun(state.g, phi, state.time, dt, decay, eng.norms(state.g)[0])
+    gnew, _ = eng.heun(state.g, phi, state.time, dt, eng.norms(state.g)[0],
+                       *eng.step_weights(config.nu, dt))
     return SpectralCoeffs(g=gnew, time=state.time + dt)
 
 
@@ -306,7 +322,7 @@ def exact_linear_solution(init: SpectralCoeffs, basis: StokesBasis, nu: float,
 def _step_count(config: SimConfig, dt: float) -> tuple[int, int]:
     """Steps of at most dt to t_end and the states the run keeps (the first,
     every sample_stride-th and the last), refused if their count is not finite
-    (an automatic dt is 0 where nu lam overflows) or their trace exceeds memory."""
+    or their trace exceeds memory; counts above 1e15 are printed to 3 digits."""
     if not (dt > 0.0 and np.isfinite(ratio := config.t_end / dt)):
         raise ValueError(f"dt={dt:.6g} takes more steps to t_end={config.t_end:.6g} "
                          f"than a float can count")
@@ -315,16 +331,21 @@ def _step_count(config: SimConfig, dt: float) -> tuple[int, int]:
     size = states * (config.n_theta + 1) * config.n_r * 16  # complex128
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if size > memory:
+        big = ".3g" if n_steps > 1e15 else ""
         raise ValueError(
-            f"dt={dt:.6g} takes {n_steps} steps, whose trace of {states} states of "
-            f"{config.n_theta + 1} x {config.n_r} complex ({size / 2**30:.1f} GiB) "
-            f"exceeds physical memory ({memory / 2**30:.1f} GiB)")
+            f"dt={dt:.6g} takes {n_steps:{big}} steps, whose trace of {states:{big}} "
+            f"states of {config.n_theta + 1} x {config.n_r} complex "
+            f"({size / 2**30:{big or '.1f'}} GiB) exceeds physical memory "
+            f"({memory / 2**30:.1f} GiB)")
     return n_steps, states
 
 
+@np.errstate(all="ignore")  # an overflow fails the checks below
 def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
     """Run to t_end, recording sampled coefficients and running integrals
-    into one trace allocated at the size _step_count checked."""
+    into one trace allocated at the size _step_count checked; a stepped run
+    whose series are not finite, or an unforced one whose energy budget
+    misses by more than 1e-3 |u(0)|^2, is returned failed."""
     counts = _step_count(config, config.dt) if config.dt else None
     basis = basis or stokes_basis(config.n_theta, config.n_r)
     if isinstance(config.init, SpectralCoeffs):
@@ -337,12 +358,14 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
     state.time = 0.0
     state.g[0] = state.g[0].real  # row 0 is read as real, from sample 0 on
     eng = _Engine(config, basis)
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        u2, w2 = eng.norms(state.g)
+    u2, w2 = eng.norms(state.g)
     if not np.isfinite(u2 + w2):
         culprit = ("the init coefficients are" if isinstance(config.init, SpectralCoeffs)
                    else f"amplitude={config.amplitude:g} is")
         raise ValueError(f"initial |u|^2={u2:g}, |omega|^2={w2:g}: {culprit} too large")
+    if not np.isfinite(2.0 * config.nu * (lam_max := float(eng.lam.max()))):
+        raise ValueError(f"nu={config.nu:g}: 2 nu lam_max (lam_max={lam_max:.6g}) "
+                         f"overflows a float")
     n_steps, states = counts or _step_count(config, default_dt(config, eng, state))
     dt = config.t_end / n_steps
     if config.linear and config.forcing is None:
@@ -350,13 +373,11 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
         # step times is the run; its norm only shrinks, so it cannot fail
         keep = np.r_[0:n_steps:config.sample_stride, n_steps]
         return linear_trace(state, basis, config.nu, dt * keep)
-    decay = np.exp(-config.nu * eng.lam * dt)
     # Per-step viscous dissipation uses the exact exponential profile of each
     # mode (averaged forward/backward), not the trapezoid rule: the fast
     # modes decay on scales well below any reasonable dt.
-    fwd_w = (1.0 - decay**2) / eng.lam
-    bwd_w = fwd_w / decay**2
-
+    decay, weights = eng.step_weights(config.nu, dt)
+    fwd = pairing(state.g, *weights[:3])[2]  # the forward term of state 0
     visc = ein = 0.0
     phi, conv = eng.rhs(state.g, 0.0)
     fl = 0.0 if config.linear else pairing(state.g, 1.0, b=conv)[0]
@@ -367,8 +388,9 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
     try:
         for i in range(1, n_steps + 1):
             t = state.time
-            gnew, u2, w2 = eng.heun(state.g, phi, t, dt, decay, u2)
-            visc += 0.5 * float(pairing(state.g, fwd_w)[0] + pairing(gnew, bwd_w)[0])
+            gnew, (w2, u2, fwd_new, bwd) = eng.heun(state.g, phi, t, dt, u2, decay, weights)
+            visc += 0.5 * float(fwd + bwd)
+            fwd = fwd_new
             if config.forcing is not None:  # running 2 int <f, u>, trapezoid
                 ein += dt * (pairing(gnew, 1.0, b=config.forcing.at(t + dt))[0]
                              + pairing(state.g, 1.0, b=config.forcing.at(t))[0])
@@ -382,6 +404,15 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
         failed, message = True, str(exc)
         g[kept], series[:, kept] = state.g, (state.time, u2, w2, visc, ein, fl)
         kept += 1
+    # unforced, the budget closes to the Heun error; forced, energy_in adds
+    # its own trapezoid error.  Either way every series must be finite.
+    s, forced = series[:, :kept], config.forcing is not None
+    resid = np.abs(s[1] + s[3] - s[1, 0] - s[4]).max()
+    if not (failed or np.isfinite(s).all() and (forced or resid <= 1e-3 * s[1, 0])):
+        failed, message = True, (
+            f"energy budget residual {resid / s[1, 0]:.3g} |u(0)|^2 (limit 1e-3), "
+            f"flux up to {np.abs(s[5]).max():.3g}, at dt={dt:.3g} "
+            f"(nu lam_max dt={config.nu * lam_max * dt:.3g})")
     return SimTrace(config.nu, series[0, :kept], g[:kept], *series[1:, :kept],
                     failed=failed, message=message)
 

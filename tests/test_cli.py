@@ -3,12 +3,18 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from diskflow.basis import stokes_basis
 from diskflow.cli import build_parser, main
+from diskflow.solver import SimConfig, _Engine, default_dt, make_initial
 from oracles import bisect_zero, series_jn
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -282,16 +288,22 @@ def test_trace_beyond_physical_memory_exits_2_before_any_allocation(
 
 
 @pytest.mark.parametrize("case", ["subnormal-dt", "huge-nu", "amplitude-linear",
-                                  "amplitude-nonlinear", "init-file"])
+                                  "amplitude-nonlinear", "init-file", "huge-count"])
 def test_an_unrepresentable_run_exits_2_naming_its_cause(tmp_path, capsys, case):
-    # t_end / dt overflows to inf, or the automatic dt underflows to 0, or the
-    # initial |u|^2 overflows: unchecked, the first two raised OverflowError
-    # and ZeroDivisionError (exit 1 with a traceback), and the linear run of
-    # the third wrote inf and nan to trace.csv and reported ok
+    # t_end / dt overflows to inf, or nu lam overflows for the automatic dt,
+    # or the initial |u|^2 overflows: unchecked, the first two raised
+    # OverflowError and ZeroDivisionError (exit 1 with a traceback), and the
+    # linear run of the third wrote inf and nan to trace.csv and reported ok;
+    # a finite count too large to store is printed to 3 digits
     over, named = {
         "subnormal-dt": ({"dt": 1e-320}, r"dt=9\.99989e-321 takes more steps to "
                          r"t_end=0\.1 than a float can count"),
-        "huge-nu": ({"nu": 1e308, "dt": None}, r"dt=0 takes more steps .*"),
+        "huge-nu": ({"nu": 1e308, "dt": None},
+                    r"nu=1e\+308: 2 nu lam_max \(lam_max=[0-9.]+\) overflows a float"),
+        "huge-count": ({"t_end": 1e300, "dt": 0.001},
+                       r"dt=0\.001 takes 1e\+303 steps, whose trace of 1e\+303 states of "
+                       r"3 x 3 complex \(1\.34e\+296 GiB\) exceeds physical memory "
+                       r"\([0-9.]+ GiB\)"),
         "amplitude-linear": ({"init": "generic", "amplitude": 1e308},
                              r"initial \|u\|\^2=inf, \|omega\|\^2=inf: amplitude=1e\+308 "
                              r"is too large"),
@@ -308,6 +320,72 @@ def test_an_unrepresentable_run_exits_2_naming_its_cause(tmp_path, capsys, case)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and re.fullmatch(r"diskflow simulate: " + named, err[0]), err
     assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("dt, ok", [(1.0, False), (0.5, False), (0.05, False),
+                                    (0.01, True), (None, True)])
+def test_a_run_whose_energy_budget_does_not_close_exits_1(tmp_path, capsys, dt, ok):
+    # nu lam_max dt is 360, 180 and 18 on the failing runs: the first once
+    # overflowed the backward dissipation weight and wrote visc_cum = inf,
+    # and all three reported ok; at dt = 0.01 the residual is 3.4e-6 |u(0)|^2
+    cfgfile = _write_sim_config(tmp_path, nu=1.0, t_end=1.0, n_theta=4, n_r=4, dt=dt,
+                                init="generic", linear=False)
+    code = main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    out = capsys.readouterr().out
+    rows = read_csv(tmp_path / "o" / "trace.csv")
+    budget = [float(r["u_norm_sq"]) + float(r["visc_cum"]) - float(rows[0]["u_norm_sq"])
+              for r in rows]
+    assert np.isfinite(budget).all()
+    if ok:
+        assert code == 0 and "[ok]" in out
+        assert max(map(abs, budget)) <= 1e-3 * float(rows[0]["u_norm_sq"])
+    else:
+        assert code == 1
+        assert re.search(rf"FAILED: energy budget residual [0-9.e+]+ \|u\(0\)\|\^2 "
+                         rf"\(limit 1e-3\), flux up to [0-9.e+-]+, at dt={dt:.3g} "
+                         rf"\(nu lam_max dt=[0-9.]+\)", out), out
+
+
+BASIS4 = stokes_basis(4, 4)
+_wide = st.floats(min_value=5e-324, max_value=1e308)
+
+
+def _steps(sim: SimConfig) -> float:
+    """t_end / dt of simulate's run of sim: inf or nan where it refuses to
+    count, above 1e15 where the trace exceeds any memory."""
+    if sim.dt is not None:
+        return sim.t_end / sim.dt
+    try:
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            init = make_initial("generic", sim.n_theta, sim.n_r, amplitude=sim.amplitude)
+            return sim.t_end / default_dt(sim, _Engine(sim, BASIS4), init)
+    except (ValueError, ZeroDivisionError):
+        return np.inf
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(nu=_wide, t_end=_wide, amplitude=_wide, linear=st.booleans(),
+       n=st.tuples(st.integers(0, 4), st.integers(1, 4)),
+       dt=st.one_of(st.none(), _wide, st.integers(1, 1000)))
+def test_simulate_at_any_representable_config_exits_cleanly(nu, t_end, amplitude,
+                                                            linear, n, dt):
+    # an integer dt draw is a step count; a count above 1e3 that simulate
+    # would take is skipped, one it refuses is kept
+    dt = t_end / dt if type(dt) is int else dt
+    cfg = {"nu": nu, "t_end": t_end, "n_theta": n[0], "n_r": n[1], "dt": dt,
+           "init": "generic", "amplitude": amplitude, "linear": linear}
+    if dt is None or dt > 0.0:
+        steps = _steps(SimConfig(**{k: v for k, v in cfg.items() if k != "init"}))
+        assume(not steps <= 1e15 or steps <= 1e3)
+    with tempfile.TemporaryDirectory() as tmp:
+        (cfgfile := Path(tmp) / "sim.json").write_text(json.dumps(cfg))
+        code = main(["simulate", "--config", str(cfgfile), "--out", str(Path(tmp) / "o")])
+        assert code in (0, 1, 2)
+        if code == 0:
+            rows = read_csv(Path(tmp) / "o" / "trace.csv")
+            assert all(np.isfinite(float(v)) for r in rows for v in r.values())
 
 
 def test_zero_convergence_failure_exits_3(tmp_path, capsys, monkeypatch):

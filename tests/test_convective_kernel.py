@@ -8,8 +8,8 @@ import pytest
 
 from diskflow.basis import PHASES, StokesBasis, stokes_basis
 from diskflow import solver
-from diskflow.field import (SpectralCoeffs, _gauss_radial, build_grid, pairing, project,
-                            synthesize)
+from diskflow.field import (FieldSample, SpectralCoeffs, Transform, _gauss_radial, _pairs,
+                            build_grid, pairing, project, synthesize)
 from diskflow.solver import (SimConfig, _Engine, default_dt, make_initial,
                              nonlinear_coeffs, simulate)
 
@@ -130,3 +130,80 @@ def test_projection_reads_the_synthesis_stack_without_grid_temporaries():
         tracemalloc.stop()
     # one (na, 2, q) sample grid is 211 KB here; numpy's 128 KB ufunc buffer fits
     assert peak <= 256 * 1024
+
+
+def unfolded_projection(tf, vals, w, quantity):
+    """Transform.project term by term: weights on the samples, the kept
+    rows copied with their folds, the conjugate phases, then 2 pi."""
+    spec = np.fft.rfft(vals * w, axis=0, norm="forward")
+    nt, na = tf.nt, tf.na
+    what = np.empty((nt + 1, *spec.shape[1:]), dtype=complex)
+    for n in range(nt + 1):
+        a = n % na
+        what[n] = spec[a] if a <= na // 2 else np.conj(spec[na - a])
+    what *= np.conj(np.array(PHASES[quantity]))[:, None]
+    out = np.matmul(tf.proj, what.reshape(nt + 1, -1, 1)).view(complex)
+    return 2.0 * np.pi * out[..., 0]
+
+
+@pytest.mark.parametrize("n", [1, 5, 12, 32])
+def test_folded_projection_matches_the_term_by_term_formula(n):
+    eng = _Engine(SimConfig(nu=0.01, t_end=0.2, n_theta=n, n_r=n), stokes_basis(n, n))
+    assert eng.nt <= eng.na // 2  # every row is read at its own index
+    vals = np.random.default_rng(n).standard_normal((eng.na, 2, eng.r.size))
+    before = vals.copy()
+    got = eng.tf.project(vals)
+    assert np.array_equal(vals, before)
+    want = unfolded_projection(eng.tf, vals, eng.w, "velocity")
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_folded_projection_on_an_aliasing_grid_matches_the_formula(basis13):
+    # rows 5 and 6 of an 8-angle grid are read as conjugates of rows 3 and 2
+    grid = build_grid(32, 8, 0.0)
+    vals = np.random.default_rng(5).standard_normal((1, 8, grid.r.size))
+    sample = FieldSample(grid=grid, quantity="vorticity", values=vals)
+    with pytest.warns(UserWarning, match="projection will alias"):
+        got = project(sample, basis13, 6, 4).g
+    tf = Transform(basis13, 6, 4, grid.r, grid.w, 8, ("vorticity",))
+    assert tf._folds.tolist() == [5, 6]
+    want = unfolded_projection(tf, vals.transpose(1, 0, 2), grid.w, "vorticity")
+    want[0] = want[0].real
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [1, 5, 12, 32])
+@pytest.mark.parametrize("quantities", [("velocity", "vorticity"), ("gradient",)])
+def test_synthesis_by_phase_runs_is_the_phased_spectrum_bit_for_bit(n, quantities):
+    basis = stokes_basis(n, n)
+    eng = _Engine(SimConfig(nu=0.01, t_end=0.2, n_theta=n, n_r=n), basis)
+    tf = Transform(basis, n, n, eng.r, eng.w, eng.na, quantities)
+    g = full_band_state(n, seed=n)
+    phase = np.array(sum((PHASES[q] for q in quantities), ()))[:, None]
+    spec = np.zeros((tf.m * eng.na // 2 + 1, phase.size, eng.r.size), dtype=complex)
+    spec[: n + 1] = (tf.stack @ _pairs(g)).view(complex).reshape(n + 1, phase.size, -1)
+    spec[: n + 1] *= phase
+    want = np.fft.irfft(spec, n=tf.m * eng.na, axis=0, norm="forward")[:: tf.m]
+    assert np.array_equal(tf.synthesize(g), want)
+
+
+def test_one_pairing_per_step_matches_three(monkeypatch):
+    # the sim-nonlinear run: 175 steps at n = 32
+    calls = []
+    convective = _Engine.convective
+    monkeypatch.setattr(_Engine, "convective",
+                        lambda self, g: calls.append(1) or convective(self, g))
+    cfg = SimConfig(nu=0.01, t_end=0.2, n_theta=32, n_r=32, init="generic", amplitude=0.1)
+    tr = simulate(cfg, stokes_basis(32, 32))
+    steps = tr.n_samples - 1
+    assert not tr.failed and steps == 175 and len(calls) == 2 * steps + 1
+    lam = stokes_basis(32, 32).lam[:33, :32]
+    decay = np.exp(-cfg.nu * lam * (cfg.t_end / steps))
+    fwd_w = (1.0 - decay**2) / lam
+    w2, u2 = np.transpose([pairing(g, 1.0, 1.0 / lam) for g in tr.g])
+    fwd, bwd = (np.array([pairing(g, w)[0] for g in gs])
+                for gs, w in ((tr.g[:-1], fwd_w), (tr.g[1:], fwd_w / decay**2)))
+    visc = np.concatenate([[0.0], np.cumsum(0.5 * (fwd + bwd))])
+    for name, want in (("u_norm_sq", u2), ("w_norm_sq", w2), ("visc_cum", visc)):
+        got = getattr(tr, name)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), name
