@@ -90,6 +90,8 @@ class StokesBasis:
         # filled by field.gram: one gradient pass per rule caches five stacks,
         # so a trace's thin and wide rules hold ten
         self._gram_cache = LRUCache(10)
+        # filled by diagnostics' ratio scans: the rows of each x grid's scans
+        self._ratio_cache = LRUCache(2)
 
     def _check(self, n: int, k: int) -> None:
         if not (0 <= n <= self.n_max):

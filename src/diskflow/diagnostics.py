@@ -380,7 +380,8 @@ def _scan_jnk_range(lemma, n_max, k_max, basis):
 # lemma: (entry of jn_trio(n), upper end of x, bound).  On beta/alpha < x < 1
 # the ratio is |J_m(alpha x)| / |J_n(alpha)| with m = n - 1, n, n + 1; the
 # J_{n+1} ratio is also divided by n (1 - x).  A numeric bound is a strict
-# check over all (n, k); a named one is an envelope over k <= n.
+# check over all (n, k); a named one is an envelope over k <= n.  The scans
+# that share an upper end share their x grid, and so their Bessel values.
 _RATIO_SCANS = {
     "JRatios": (1, 1.0 - 1e-12, 1.0),
     "Jnp1Ratios": (2, 1.0 - 1e-7, "C*n*(1-x)"),
@@ -389,20 +390,37 @@ _RATIO_SCANS = {
 
 
 def _scan_ratios(lemma, n_max, k_max, basis):
+    """The rows of every ratio scan on this lemma's x grid come from one pass,
+    memoized on the basis per grid; each call builds its own report."""
     entry, x_hi, bound = _RATIO_SCANS[lemma]
-    envelope = isinstance(bound, str)
-    modes = _index_modes(n_max, k_max, not envelope)
-    rows, per = [], _BLOCK // _X_SAMPLES  # one Bessel pass of at most _BLOCK lanes
+    rows = basis._ratio_cache.get(key := (x_hi, n_max, k_max))
+    if rows is None:
+        basis._ratio_cache[key] = rows = _ratio_rows(x_hi, n_max, k_max, basis)
+    return _report(lemma, n_max, k_max, rows[lemma], isinstance(bound, str))
+
+
+def _ratio_rows(x_hi, n_max, k_max, basis):
+    """{lemma: scan rows as tuples} for the ratio scans whose x grid ends at
+    x_hi, from one Bessel pass over the union of their modes in blocks of at
+    most _BLOCK lanes; every row depends on its own mode alone."""
+    group = {lemma: v for lemma, v in _RATIO_SCANS.items() if v[1] == x_hi}
+    square = any(not isinstance(bound, str) for _, _, bound in group.values())
+    modes = _index_modes(n_max, k_max, square)
+    rows, per = {lemma: [] for lemma in group}, _BLOCK // _X_SAMPLES
     for s in range(0, modes[0].size, per):
         n, k = (v[s:s + per] for v in modes)
         a = basis.alpha[n, k - 1]
         x = np.linspace(basis.beta[n, k - 1] / a + 1e-9, x_hi, _X_SAMPLES, axis=-1)
-        jm = np.abs(jn_trio(np.repeat(n, _X_SAMPLES), (a[:, None] * x).ravel())[entry])
+        trio = jn_trio(np.repeat(n, _X_SAMPLES), (a[:, None] * x).ravel())
         ja = np.abs(basis.j_at_alpha[n, k - 1])[:, None]
-        ratio = jm.reshape(x.shape) / (ja * n[:, None] * (1.0 - x) if entry == 2 else ja)
-        margin = -ratio if envelope else bound - ratio
-        rows += _worst(n[:, None], k[:, None], x, ratio, bound, margin)
-    return _report(lemma, n_max, k_max, rows, envelope)
+        for lemma, (entry, _, bound) in group.items():
+            envelope = isinstance(bound, str)
+            i = np.flatnonzero(k <= n) if envelope and square else slice(None)
+            jm, xi, ni, ji = np.abs(trio[entry].reshape(x.shape)[i]), x[i], n[i, None], ja[i]
+            ratio = jm / (ji * ni * (1.0 - xi) if entry == 2 else ji)
+            margin = -ratio if envelope else bound - ratio
+            rows[lemma] += _worst(ni, k[i, None], xi, ratio, bound, margin)
+    return rows
 
 
 # lemma: (quantity, layer widths deltas[mode, d] from the columns of the
@@ -431,6 +449,13 @@ _LAYER_SCANS = {
 }
 
 
+def _median(v: np.ndarray) -> float:
+    """np.median of a 1-D array, bit for bit, without the numpy.ma import
+    that np.median's NaN check makes."""
+    s = np.sort(v)
+    return 0.5 * (s[(s.size - 1) // 2] + s[s.size // 2])
+
+
 def _scan_layers(lemma, n_max, k_max, basis):
     quantity, widths = _LAYER_SCANS[lemma]
     envelope = quantity == "velocity"
@@ -449,7 +474,7 @@ def _scan_layers(lemma, n_max, k_max, basis):
         x, y = np.log(d), np.log(m)
         x -= x.mean(axis=1, keepdims=True)
         slopes = np.sum(x * y, axis=1) / np.sum(x * x, axis=1)
-        extra = {"c2": _U_LAYER_C2, "slope_median": float(np.median(slopes)),
+        extra = {"c2": _U_LAYER_C2, "slope_median": float(_median(slopes)),
                  "slope_min": float(np.min(slopes)),
                  "slope_max": float(np.max(slopes))}
     else:
@@ -478,8 +503,8 @@ def _cross_pairs(n_max, k_max):
 
 def _scan_cross_inner_products(lemma, n_max, k_max, basis):
     m, j, n, k, delta = _cross_pairs(n_max, k_max)
-    v = np.maximum(*(np.abs(mode_inner_product(basis, (m, j), (n, k), q, delta))
-                     for q in ("vorticity", "velocity")))
+    vel, vort = mode_inner_product(basis, (m, j), (n, k), ("velocity", "vorticity"), delta)
+    v = np.maximum(np.abs(vort), np.abs(vel))
     rows = _worst(*(c[:, None] for c in (m, j, delta, v)), 0.0, -v[:, None])
     rep = _report(lemma, n_max, k_max, rows)
     rep.passed = bool(rep.worst_margin >= -1e-12)

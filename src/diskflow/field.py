@@ -475,7 +475,7 @@ def inner_product(a: FieldSample, b: FieldSample) -> complex:
 
 
 def mode_inner_product(basis: StokesBasis, mode_a, mode_b,
-                       quantity: str = "vorticity", delta=1.0):
+                       quantity="vorticity", delta=1.0):
     """Inner product of two complex basis modes over a boundary layer.
 
     Integrates the actual complex mode values on a tensor grid, so the
@@ -483,8 +483,11 @@ def mode_inner_product(basis: StokesBasis, mode_a, mode_b,
     numerically rather than assumed.  The orders and indices of mode_a and
     mode_b, and delta, may also be arrays that broadcast to P pairs; the
     result is then an array of P inner products, evaluated with one
-    radial_profiles call per side of the pairs.
+    radial_profiles call per side of the pairs.  A tuple of quantities
+    gives a list of one result per quantity from the same passes, which
+    the first quantity's must return (a velocity pass gives the vorticity).
     """
+    quantities = (quantity,) if isinstance(quantity, str) else tuple(quantity)
     scalar = all(np.ndim(v) == 0 for v in (*mode_a, *mode_b, delta))
     m, j, n, k, delta = np.broadcast_arrays(*np.atleast_1d(*mode_a, *mode_b, delta))
     orders, idx = np.concatenate([m, n]), np.concatenate([j, k])
@@ -492,10 +495,13 @@ def mode_inner_product(basis: StokesBasis, mode_a, mode_b,
         basis._check(o, i)
     r, w = layer_rule(delta, basis.alpha)
     pa, pb = (radial_profiles(o, basis.alpha[o, i - 1], basis.c_signed[o, i - 1], r,
-                              quantity)[quantity] for o, i in ((m, j), (n, k)))
-    rad = np.sum(w * pa * pb, axis=(0, 2))  # phases cancel
+                              quantities[0]) for o, i in ((m, j), (n, k)))
+    if missing := [q for q in quantities if q not in pa]:
+        raise ValueError(f"a {quantities[0]} pass does not give {', '.join(missing)}")
     na = 2 * np.maximum(m, n) + 4
     ang = np.array([np.sum(np.exp(1j * d * (2.0 * np.pi * np.arange(a) / a)))
                     * (2.0 * np.pi / a) for d, a in zip((m - n).tolist(), na.tolist())])
-    out = ang * rad
-    return complex(out[0]) if scalar else out
+    # phases cancel
+    out = [ang * np.sum(w * pa[q] * pb[q], axis=(0, 2)) for q in quantities]
+    out = [complex(v[0]) for v in out] if scalar else out
+    return out[0] if isinstance(quantity, str) else out

@@ -247,11 +247,15 @@ class _Engine:
         """decay = exp(-nu lam dt) and the successive pairing weights of
         |omega|^2, |u|^2 and 2 nu int |omega|^2 over a step on each mode's
         exact profile, forward from a state, (1 - decay^2) / lam, and back
-        to it, that over decay^2, whose exponent is capped to stay finite."""
+        to it, that over decay^2.  Where the exponent 2 nu lam dt passes 700,
+        the backward term would overflow or lose the state: the weight is 0
+        and the forward term counts twice."""
         decay = np.exp(-nu * self.lam * dt)
         fwd_w = (1.0 - decay**2) / self.lam
-        back = np.exp(np.minimum(2.0 * nu * self.lam * dt, 700.0))
-        return decay, (1.0, 1.0 / self.lam, self.lam * fwd_w, back)
+        e = 2.0 * nu * self.lam * dt
+        capped = e > 700.0
+        return decay, (1.0, 1.0 / self.lam, (1.0 + capped) * (self.lam * fwd_w),
+                       np.where(capped, 0.0, np.exp(np.minimum(e, 700.0))))
 
     def heun(self, g: np.ndarray, phi: np.ndarray, t: float, dt: float, u2: float,
              decay: np.ndarray, weights: tuple) -> tuple[np.ndarray, list]:

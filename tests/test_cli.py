@@ -346,6 +346,19 @@ def test_a_run_whose_energy_budget_does_not_close_exits_1(tmp_path, capsys, dt, 
                          rf"\(nu lam_max dt=[0-9.]+\)", out), out
 
 
+def test_a_decay_past_the_backward_weight_cap_closes_its_budget(tmp_path, capsys):
+    # a radial flow has no convective term, so this is a pure decay; at
+    # 2 nu lam dt > 700 every mode's backward dissipation weight is capped,
+    # and the forward term alone must carry the whole loss
+    cfgfile = _write_sim_config(tmp_path, nu=1.0, t_end=25.0, dt=25.0, n_theta=4, n_r=4,
+                                init="radial-1", linear=False)
+    assert main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+    assert "[ok]" in capsys.readouterr().out
+    rows = read_csv(tmp_path / "o" / "trace.csv")
+    assert len(rows) == 2 and float(rows[1]["u_norm_sq"]) < 1e-300
+    assert float(rows[1]["visc_cum"]) == float(rows[0]["u_norm_sq"])
+
+
 BASIS4 = stokes_basis(4, 4)
 _wide = st.floats(min_value=5e-324, max_value=1e308)
 

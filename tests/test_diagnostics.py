@@ -292,17 +292,24 @@ def test_batched_inner_products_equal_scalar_calls(monkeypatch):
 
     bas = stokes_basis(30, 30)
     m, j, n, k, delta = _cross_pairs(30, 30)
-    for q in ("vorticity", "velocity"):
+    both = mode_inner_product(bas, (m, j), (n, k), ("velocity", "vorticity"), delta)
+    for q, joint in zip(("velocity", "vorticity"), both):
         batched = mode_inner_product(bas, (m, j), (n, k), q, delta)
+        assert np.array_equal(joint, batched)  # one pass gives both, bit for bit
         single = [mode_inner_product(bas, (int(a), int(b)), (int(c), int(d)), q, float(e))
                   for a, b, c, d, e in zip(m, j, n, k, delta)]
         assert all(isinstance(v, complex) for v in single)
         assert np.max(np.abs(batched - np.array(single))) <= 1e-28
+    pair = ((3, 2), (5, 4), ("velocity", "vorticity"), 0.3)
+    assert mode_inner_product(bas, *pair) == [mode_inner_product(bas, *pair[:2], q, 0.3)
+                                              for q in pair[2]]
+    with pytest.raises(ValueError, match="a vorticity pass does not give velocity"):
+        mode_inner_product(bas, (m, j), (n, k), ("vorticity", "velocity"), delta)
     calls = []
     monkeypatch.setattr(diskflow.diagnostics, "mode_inner_product",
                         lambda *a: calls.append(a) or mode_inner_product(*a))
     assert verify_lemma("SomeL2InnerProductsAreZero", 30, 30, bas).passed
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_verify_lemma_unknown_id():
@@ -361,9 +368,62 @@ def test_lemma_scans_pass_at_most_a_block_of_lanes_to_the_bessel_kernel(
 
     for module in (diskflow.basis, diskflow.diagnostics):
         monkeypatch.setattr(module, "jn_trio", spy)
+    basis._ratio_cache.clear()  # an earlier scan's rows would make no pass
     verify_lemma(lemma, 30, 30, basis)
     assert lanes and max(lanes) <= _BLOCK == 1 << 14
     assert calls is None or len(lanes) == calls
+
+
+@pytest.mark.parametrize("size", [5, 30])
+def test_ratio_scans_sharing_an_x_grid_share_one_pass(size, monkeypatch):
+    import diskflow.diagnostics
+    from diskflow.bessel import jn_trio
+    from diskflow.diagnostics import _BLOCK, _X_SAMPLES
+
+    basis = stokes_basis(size, size)
+    calls = []
+    monkeypatch.setattr(diskflow.diagnostics, "jn_trio",
+                        lambda n, x: calls.append(np.size(x)) or jn_trio(n, x))
+
+    def scan(*lemmas):
+        basis._ratio_cache.clear()
+        calls.clear()
+        reps = {lemma: verify_lemma(lemma, size, size, basis) for lemma in lemmas}
+        # one pass over the whole square, however many scans of the grid ran
+        assert len(calls) == -(-(size + 1) * size // (_BLOCK // _X_SAMPLES))
+        return reps
+
+    alone = {**scan("JRatios"), **scan("Jnm1Ratios")}
+    for both in (scan("JRatios", "Jnm1Ratios"), scan("Jnm1Ratios", "JRatios")):
+        for lemma, rep in alone.items():
+            other = both[lemma]
+            assert other is not rep and other.rows == rep.rows  # tuples of floats
+            assert other.worst_at == rep.worst_at and other.worst_margin == rep.worst_margin
+            assert other.constant == rep.constant and other.passed == rep.passed
+
+
+def test_ratio_memo_holds_at_most_two_grids():
+    basis = StokesBasis(12, 12)  # its own memo
+    for size in (4, 8, 12):
+        for lemma in ("JRatios", "Jnp1Ratios", "Jnm1Ratios"):
+            verify_lemma(lemma, size, size, basis)
+        assert len(basis._ratio_cache) <= 2
+    # the memo hands out the rows, never a report a caller could change
+    rep = verify_lemma("JRatios", 12, 12, basis)
+    rep.rows.clear()
+    rep.worst_at["n"] = -1
+    again = verify_lemma("JRatios", 12, 12, basis)
+    assert again.rows and again.worst_at["n"] >= 0
+
+
+def test_median_form_equals_numpy_median_bit_for_bit():
+    from diskflow.diagnostics import _median
+
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 464, 465):
+        v = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
+        got, want = _median(v), np.median(v)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), size
 
 
 def test_zero_difference_example_values(bas):

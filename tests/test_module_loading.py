@@ -32,11 +32,12 @@ EXPORTS = {
 
 
 def loaded_after(code: str) -> list[str]:
-    """The diskflow modules loaded once code has run in a fresh interpreter."""
+    """The diskflow modules, and numpy.ma if it is loaded, once code has run
+    in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    probe = 'import sys\nprint(sorted(m for m in sys.modules if m.startswith("diskflow")))'
+    probe = 'import sys\nprint(sorted(m for m in sys.modules if m.startswith("diskflow") or m == "numpy.ma"))'
     proc = subprocess.run([sys.executable, "-c", f"{code}\n{probe}"], capture_output=True,
                           text=True, env=env, cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -70,6 +71,15 @@ def test_verify_never_loads_solver(tmp_path):
                                  "--k-max", 3, "--out", tmp_path / "o"]))
     assert "diskflow.diagnostics" in mods and "diskflow.solver" not in mods
     assert (tmp_path / "o" / "lemmas.csv").exists()
+
+
+def test_velocity_layer_scan_never_loads_numpy_ma(tmp_path):
+    # np.median's NaN check imports numpy.ma, about 9 ms of a verify command
+    mods = loaded_after(run_cli(["verify", "--lemmas", "L2uGammaBoundGeneral", "--n-max", 5,
+                                 "--k-max", 5, "--out", tmp_path / "o"]))
+    assert "diskflow.diagnostics" in mods and "numpy.ma" not in mods
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["L2uGammaBoundGeneral"]["slope_median"] > 0.0
 
 
 def test_every_export_and_layer_resolves_both_ways():
