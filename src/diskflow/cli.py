@@ -150,7 +150,7 @@ def cmd_simulate(args, outdir: Path) -> tuple[int, dict]:
     snap_stride = int(_expect(cfg, "snapshot_stride", int, 0))
     if snap_stride < 0:
         raise ConfigError(f"snapshot_stride must be >= 0, got {snap_stride}")
-    trace = simulate(sim)
+    trace = simulate(sim, state_stride=snap_stride)  # holds the snapshots' states only
     rows = [
         (trace.times[i], trace.u_norm_sq[i], trace.w_norm_sq[i],
          trace.visc_cum[i], trace.energy_in[i], trace.flux[i])

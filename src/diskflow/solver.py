@@ -82,16 +82,20 @@ class SimConfig:
 class SimTrace:
     """Sampled history of one run: times, coefficients, and scalar series.
 
-    A closed-form (unforced linear) trace is given g=None and no series, the
-    initial state g0 and its eigenvalues lam, and computes each state g0
-    exp(-nu lam t) when it is read.  states() is every library reader's
-    access to them; g itself is built in full, one block at a time, on first
-    access, and the first read of any of u_norm_sq, w_norm_sq and visc_cum
-    fills all three in one blocked pass."""
+    The series cover every sample; g holds every sample's state when
+    state_stride is 1, else those of samples 0, s, 2s, ... and the last only
+    (s = state_stride; 0: the first and the last), which states() and
+    coeffs_at() serve one at a time: any other, and so moments and vv_gap,
+    raise ValueError.  A closed-form (unforced linear) trace is given g=None
+    and no series, the initial state g0 and its eigenvalues lam, and computes
+    each state g0 exp(-nu lam t) when it is read.  states() is every library
+    reader's access to them; g itself is built in full, one block at a time,
+    on first access, and the first read of any of u_norm_sq, w_norm_sq and
+    visc_cum fills all three in one blocked pass."""
 
     nu: float
     times: np.ndarray
-    g: np.ndarray | None      # (S, n_theta+1, n_r) complex, or None in closed form
+    g: np.ndarray | None      # (held, n_theta+1, n_r) complex, or None in closed form
     u_norm_sq: np.ndarray
     w_norm_sq: np.ndarray
     visc_cum: np.ndarray      # 2 nu * integral of |omega|^2 up to each time
@@ -101,6 +105,7 @@ class SimTrace:
     message: str = ""
     g0: np.ndarray | None = None   # closed form: the state at t = 0
     lam: np.ndarray | None = None  # and the eigenvalues of its modes
+    state_stride: int = 1          # g holds samples 0, s, 2s, ... and the last
 
     _lazy = ("g", "u_norm_sq", "w_norm_sq", "visc_cum")  # closed form: built when read
 
@@ -143,11 +148,27 @@ class SimTrace:
         """The states g[s, n]: a view of the stored ones, or in closed form
         g0[n] exp(-nu lam[n] t) at the sample times t[s], into out if given."""
         if "g" in self.__dict__:
-            return self.g[s, n]
+            return self.g[self._slot(s), n]
         lam = self.lam[n]
         t = self.times[s][(..., *(None,) * lam.ndim)]
         return np.multiply(self.g0[n], np.exp(f := np.multiply(-self.nu * t, lam), out=f),
                            out=out)
+
+    def _slot(self, s):
+        """Where g holds the states of samples s: s itself when g holds every
+        sample, else the slot of the one held sample s."""
+        if (k := self.state_stride) == 1:
+            return s
+        last = self.n_samples - 1
+        if isinstance(s, (int, np.integer)):
+            i, every = range(last + 1)[s], k or last + 1  # IndexError past either end
+            if i % every == 0:
+                return i // every
+            if i == last:
+                return -1
+        held = f"the multiples of {k}" if k else "0"
+        raise ValueError(f"sample {s!r} is not held: a trace of state_stride {k} holds "
+                         f"the states of samples {held} and the last, {last}, one at a time")
 
     def coeffs_at(self, i: int) -> SpectralCoeffs:
         return SpectralCoeffs(g=self.states(i).copy(), time=float(self.times[i]))
@@ -175,7 +196,7 @@ class SimTrace:
         return out
 
     def with_coeffs(self, gnew: np.ndarray) -> "SimTrace":
-        """Same sampling, different coefficient history (for truncations)."""
+        """Same sampling and held samples, different states (for truncations)."""
         return replace(self, g=gnew)
 
 
@@ -324,9 +345,9 @@ def exact_linear_solution(init: SpectralCoeffs, basis: StokesBasis, nu: float,
 
 
 def _step_count(config: SimConfig, dt: float) -> tuple[int, int]:
-    """Steps of at most dt to t_end and the states the run keeps (the first,
+    """Steps of at most dt to t_end and the samples the run keeps (the first,
     every sample_stride-th and the last), refused if their count is not finite
-    or their trace exceeds memory; counts above 1e15 are printed to 3 digits."""
+    or a state for each exceeds memory; counts above 1e15 are printed to 3 digits."""
     if not (dt > 0.0 and np.isfinite(ratio := config.t_end / dt)):
         raise ValueError(f"dt={dt:.6g} takes more steps to t_end={config.t_end:.6g} "
                          f"than a float can count")
@@ -345,11 +366,19 @@ def _step_count(config: SimConfig, dt: float) -> tuple[int, int]:
 
 
 @np.errstate(all="ignore")  # an overflow fails the checks below
-def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
-    """Run to t_end, recording sampled coefficients and running integrals
-    into one trace allocated at the size _step_count checked; a stepped run
-    whose series are not finite, or an unforced one whose energy budget
-    misses by more than 1e-3 |u(0)|^2, is returned failed."""
+def simulate(config: SimConfig, basis: StokesBasis | None = None,
+             state_stride: int = 1) -> SimTrace:
+    """Run to t_end, recording the running integrals of every sample and the
+    states of samples 0, s, 2s, ... and of the last (s = state_stride, in
+    samples; 0: the first and the last) into buffers allocated once; the
+    guard of _step_count counts every sample's state.  An unforced linear
+    run is returned in closed form, which serves every state.  A stepped
+    run whose series are not finite, or an unforced one whose energy budget
+    misses by more than 1e-3 |u(0)|^2, is returned failed; one stopped by
+    SolverInstability is returned failed and ends at, and holds, its last
+    accepted state."""
+    if state_stride < 0:
+        raise ValueError(f"state_stride must be >= 0, got {state_stride}")
     counts = _step_count(config, config.dt) if config.dt else None
     basis = basis or stokes_basis(config.n_theta, config.n_r)
     if isinstance(config.init, SpectralCoeffs):
@@ -370,7 +399,7 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
     if not np.isfinite(2.0 * config.nu * (lam_max := float(eng.lam.max()))):
         raise ValueError(f"nu={config.nu:g}: 2 nu lam_max (lam_max={lam_max:.6g}) "
                          f"overflows a float")
-    n_steps, states = counts or _step_count(config, default_dt(config, eng, state))
+    n_steps, samples = counts or _step_count(config, default_dt(config, eng, state))
     dt = config.t_end / n_steps
     if config.linear and config.forcing is None:
         # an unforced step is exactly decay * g, so the closed form at the
@@ -385,10 +414,11 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
     visc = ein = 0.0
     phi, conv = eng.rhs(state.g, 0.0)
     fl = 0.0 if config.linear else pairing(state.g, 1.0, b=conv)[0]
-    g = np.empty((states, *state.g.shape), complex)
-    series = np.empty((6, states))  # time, |u|^2, |omega|^2, visc_cum, energy_in, flux
+    every = state_stride or samples - 1  # held: sample j % every == 0, and the last
+    g = np.empty((-(-(samples - 1) // every) + 1, *state.g.shape), complex)
+    series = np.empty((6, samples))  # time, |u|^2, |omega|^2, visc_cum, energy_in, flux
     g[0], series[:, 0] = state.g, (state.time, u2, w2, visc, ein, fl)
-    kept, failed, message = 1, False, ""
+    kept, held, failed, message = 1, 1, False, ""
     try:
         for i in range(1, n_steps + 1):
             t = state.time
@@ -402,12 +432,16 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
             phi, conv = eng.rhs(state.g, state.time)
             fl = 0.0 if config.linear else pairing(state.g, 1.0, b=conv)[0]
             if i % config.sample_stride == 0 or i == n_steps:
-                g[kept], series[:, kept] = state.g, (state.time, u2, w2, visc, ein, fl)
+                series[:, kept] = state.time, u2, w2, visc, ein, fl
+                if kept % every == 0 or i == n_steps:
+                    g[held], held = state.g, held + 1
                 kept += 1
     except SolverInstability as exc:  # the last accepted state closes the trace
         failed, message = True, str(exc)
-        g[kept], series[:, kept] = state.g, (state.time, u2, w2, visc, ein, fl)
-        kept += 1
+        if new := (i - 1) % config.sample_stride != 0:  # not yet a sample
+            series[:, kept], kept = (state.time, u2, w2, visc, ein, fl), kept + 1
+        if new or (kept - 1) % every:  # not yet held
+            g[held], held = state.g, held + 1
     # unforced, the budget closes to the Heun error; forced, energy_in adds
     # its own trapezoid error.  Either way every series must be finite.
     s, forced = series[:, :kept], config.forcing is not None
@@ -417,8 +451,8 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None) -> SimTrace:
             f"energy budget residual {resid / s[1, 0]:.3g} |u(0)|^2 (limit 1e-3), "
             f"flux up to {np.abs(s[5]).max():.3g}, at dt={dt:.3g} "
             f"(nu lam_max dt={config.nu * lam_max * dt:.3g})")
-    return SimTrace(config.nu, series[0, :kept], g[:kept], *series[1:, :kept],
-                    failed=failed, message=message)
+    return SimTrace(config.nu, series[0, :kept], g[:held], *series[1:, :kept],
+                    failed=failed, message=message, state_stride=state_stride)
 
 
 def linear_trace(init: SpectralCoeffs, basis: StokesBasis, nu: float,

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from diskflow.basis import stokes_basis
 from diskflow.cli import build_parser, main
-from diskflow.solver import SimConfig, _Engine, default_dt, make_initial
+from diskflow.solver import SimConfig, _Engine, default_dt, make_initial, simulate
 from oracles import bisect_zero, series_jn
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,6 +106,22 @@ def test_simulate_failed_run_exits_1(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfgfile),
                  "--out", str(tmp_path / "o")]) == 1
     assert "FAILED: norm grew" in capsys.readouterr().out
+
+
+def test_a_failed_run_snapshots_its_last_accepted_state(tmp_path, capsys):
+    # the run of the test above fails at step 4; at snapshot_stride 2 it
+    # holds the states of samples 0 and 2 and of the last accepted one, 3
+    cfg = dict(nu=0.001, t_end=1.0, n_theta=6, n_r=6, dt=0.05, init="generic", seed=2,
+               amplitude=50.0, linear=False)
+    cfgfile = _write_sim_config(tmp_path, **cfg, snapshot_stride=2)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfgfile), "--out", str(out)]) == 1
+    trace = simulate(SimConfig(**cfg))
+    assert trace.failed and trace.n_samples == 4
+    times = [float(row["time"]) for row in read_csv(out / "trace.csv")]
+    assert times == trace.times.tolist()  # one row per sample, none repeated
+    snaps = json.loads((out / "snapshots.json").read_text())["snapshots"]
+    assert snaps == [trace.coeffs_at(i).to_dict() for i in (0, 2, 3)]
 
 
 @pytest.mark.parametrize("content", [None, "{not json", '{"n_theta": 2, "n_r": 3}'],

@@ -244,11 +244,32 @@ def test_unforced_blow_up_is_flagged_at_the_same_step(bas):
     assert tr.failed
     assert tr.times[-1] == pytest.approx(0.15)
     assert tr.message.startswith("norm grew") and "t=0.15 " in tr.message
-    # the partial trace ends with the last accepted state, kept once more
-    assert tr.g.shape[0] == tr.times.size == 5
+    # the partial trace ends with the last accepted state, kept once
+    assert tr.g.shape[0] == tr.times.size == 4
     for series in (tr.u_norm_sq, tr.w_norm_sq, tr.visc_cum, tr.energy_in, tr.flux):
         assert series.shape == tr.times.shape
-    assert np.array_equal(tr.g[-1], tr.g[-2]) and tr.times[-1] == tr.times[-2]
+    assert (np.diff(tr.times) > 0).all()
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("state_stride", [0, 1, 2])
+def test_a_failed_run_ends_once_at_its_last_accepted_state(bas, stride, state_stride):
+    # the blow-up above fails at step 4: the state after step 3, at t = 0.15,
+    # is the last accepted one, a sample at strides 1 and 3 and not at 2
+    kw = dict(nu=0.001, t_end=1.0, n_theta=6, n_r=6, dt=0.05, init="generic", seed=2,
+              amplitude=50.0)
+    tr = simulate(SimConfig(**kw, sample_stride=stride), bas, state_stride=state_stride)
+    every = simulate(SimConfig(**kw), bas)
+    assert tr.failed and tr.message == every.message and every.n_samples == 4
+    keep = np.r_[0:3:stride, 3]
+    assert (np.diff(tr.times) > 0).all() and np.array_equal(tr.times, every.times[keep])
+    for name in ("u_norm_sq", "w_norm_sq", "visc_cum", "energy_in", "flux"):
+        assert np.array_equal(getattr(tr, name), getattr(every, name)[keep]), name
+    cfg, state = SimConfig(**kw), make_initial("generic", 6, 6, seed=2, amplitude=50.0)
+    for _ in range(3):
+        state = step(state, cfg, 0.05, bas)
+    assert np.array_equal(tr.states(-1), state.g) and tr.times[-1] == state.time
+    assert np.array_equal(tr.coeffs_at(tr.n_samples - 1).g, every.g[-1])
 
 
 def _complex_row_0_state():

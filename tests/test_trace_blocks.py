@@ -9,7 +9,7 @@ import pytest
 
 from diskflow.basis import stokes_basis
 from diskflow.bessel import _BLOCK
-from diskflow.diagnostics import vv_gap
+from diskflow.diagnostics import TruncationSpec, truncate_trace, vv_gap
 from diskflow.field import (SpectralCoeffs, _reality_weights, block_buffer, live_rows,
                             norm_sq_series)
 from diskflow.solver import (SimConfig, SimTrace, _Engine, _step_count, linear_trace,
@@ -139,3 +139,46 @@ def test_the_run_fills_exactly_the_states_the_guard_counted(bas, stride):
     np.testing.assert_allclose(tr.times, 0.001 * keep, rtol=1e-12)
     linear = simulate(replace(cfg, linear=True), bas)
     assert linear.n_samples == states
+    # a thinned run has the same samples and series, and holds the states
+    # of samples 0, s, 2s, ... and the last (0: the first and the last)
+    for s in (0, 1, 7, 410):
+        thin = simulate(cfg, bas, state_stride=s)
+        for name in ("times", "u_norm_sq", "w_norm_sq", "visc_cum", "energy_in", "flux"):
+            assert np.array_equal(getattr(thin, name), getattr(tr, name)), (s, name)
+        held = np.r_[0:states - 1:s or states, states - 1]
+        assert np.array_equal(thin.g, tr.g[held]), s
+        for i in range(states):
+            if i in held:
+                assert np.array_equal(thin.coeffs_at(i).g, tr.g[i]), (s, i)
+            else:
+                with pytest.raises(ValueError, match=f"sample {i} is not held.*stride {s}"):
+                    thin.states(i)
+
+
+def test_readers_of_every_state_refuse_a_thinned_trace(bas):
+    cfg = SimConfig(nu=0.03, t_end=0.05, n_theta=6, n_r=6, dt=0.001, init="generic")
+    tr = simulate(cfg, bas, state_stride=7)
+    with pytest.raises(ValueError, match="sample slice.* is not held"):
+        tr.moments
+    with pytest.raises(ValueError, match="is not held"):
+        vv_gap(tr, tr.coeffs_at(0), bas)
+    # a truncation keeps the samples it holds
+    cut = truncate_trace(tr, TruncationSpec.square(3), bas)
+    assert cut.state_stride == 7 and np.array_equal(cut.states(-1), cut.g[-1])
+    with pytest.raises(ValueError, match="sample 1 is not held"):
+        cut.coeffs_at(1)
+    with pytest.raises(ValueError, match="state_stride must be >= 0"):
+        simulate(cfg, bas, state_stride=-1)
+
+
+def test_a_thinned_run_allocates_its_held_states_and_series(bas):
+    # 1001 samples at n = 12: every state would be 2.5 MB, past this bound
+    cfg = SimConfig(nu=NU, t_end=0.5, n_theta=12, n_r=12, dt=0.0005, init="generic")
+    _, engine = _peak(lambda: _Engine(cfg, bas))
+    simulate(cfg, bas, state_stride=0)  # the basis's caches for the run
+    for s in (0, 7):
+        tr, peak = _peak(lambda: simulate(cfg, bas, state_stride=s))
+        S = tr.n_samples
+        assert S == 1001 and tr.g.shape[0] == -(-1000 // (s or 1000)) + 1
+        bound = tr.g.nbytes + 6 * S * 8 + engine + ALLOWANCE
+        assert peak <= bound < S * tr.g[0].nbytes, (s, peak, bound)
