@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .basis import PHASES, QUANTITIES, StokesBasis, radial_profiles
 from .bessel import _BLOCK, jn_trio
@@ -47,9 +46,31 @@ class PolarGrid:
                 and self.r.size == other.r.size and np.array_equal(self.r, other.r))
 
 
-# leggauss costs about a millisecond per call, and a lemma scan asks for the
-# same few node counts thousands of times.
-_leggauss = lru_cache(maxsize=64)(leggauss)
+def _legval(x: np.ndarray, c: list) -> np.ndarray:
+    """The Legendre series c at x by numpy's Clenshaw loop, op for op."""
+    c0, c1 = c[-2:] if len(c) > 1 else (c[0], 0)
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+# numpy's leggauss op for op, so no command imports numpy.polynomial (a test
+# pins the bits): eigenvalues of the symmetric companion matrix (Golub &
+# Welsch 1969), one Newton step, weights from P_{deg-1}.  About 0.12 ms at 10
+# nodes and 2.2 ms at 132; a lemma scan asks for a few counts thousands of times.
+@lru_cache(maxsize=64)
+def _leggauss(deg: int) -> tuple[np.ndarray, np.ndarray]:
+    scl = 1.0 / np.sqrt(2 * np.arange(deg) + 1)
+    mat = np.zeros((deg, deg))
+    mat.flat[1 :: deg + 1] = mat.flat[deg :: deg + 1] = np.arange(1, deg) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(mat)
+    # P_deg' = sum (2k + 1) P_k over k = deg-1, deg-3, ...: exact coefficients
+    df = _legval(x, [float(2 * k + 1) if (deg - k) % 2 else 0.0 for k in range(deg)])
+    x -= _legval(x, [0.0] * deg + [1.0]) / df
+    fm = _legval(x, [0.0] * (deg - 1) + [1.0])
+    w = 1 / ((fm / np.abs(fm).max()) * (df / np.abs(df).max()))
+    x, w = (x - x[::-1]) / 2, (w + w[::-1]) / 2
+    return x, w * (2.0 / w.sum())
 
 
 def _gauss_radial(n_radial: int, r_lo: float) -> tuple[np.ndarray, np.ndarray]:
@@ -285,8 +306,10 @@ class Transform:
     factor 2 pi conj(phase) w per component and node, then that quantity's
     rows of the same stack transposed (proj).  Each row comes from one
     profile_matrix pass of the first quantity, which must return the others
-    (a velocity pass also gives the vorticity).  Every sample and spectrum
-    array of a call is one of the transform's own buffers.
+    (a velocity pass also gives the vorticity).  A call works in three
+    buffers: the spectrum, the synthesis grid, which a caller may overwrite
+    and project in place, and the rfft rows, which take the factor in
+    place; only a folding grid makes a per-call array.
     """
 
     def __init__(self, basis: StokesBasis, nt: int, nr: int, r: np.ndarray,
@@ -312,12 +335,11 @@ class Transform:
         fold = alias > na // 2  # read as the conjugate of na - alias
         self._alias, self._folds = np.where(fold, na - alias, alias), np.flatnonzero(fold)
         # reused buffers: fresh ones this size are page-faulted anew whenever
-        # the heap is trimmed.  Spectrum rows above nt stay zero.
+        # the heap is trimmed.  Spectrum rows above nt stay zero: a spectrum of
+        # rows 0..nt only, which irfft pads itself, made convective 20% slower.
         self._spec = np.zeros((self.m * na // 2 + 1, ncomp, nq), dtype=complex)
         self._phys = np.empty((self.m * na, ncomp, nq))
-        self.samples = np.empty((na, nc0, nq))
         self._rspec = np.empty((na // 2 + 1, nc0, nq), dtype=complex)
-        self._what = np.empty((nt + 1, nc0, nq), dtype=complex)
 
     def synthesize(self, g: np.ndarray) -> np.ndarray:
         """Real samples of g, shape (na, components, q); row 0 is read as
@@ -334,14 +356,14 @@ class Transform:
     def project(self, vals: np.ndarray) -> np.ndarray:
         """Mode coefficients (nt+1, nr) of real samples (na, components, q)
         of the first quantity: the quadrature of <field, mode>.  vals is
-        left unchanged; it may be the samples buffer itself."""
+        left unchanged; it may be a view of the synthesis grid."""
         np.fft.rfft(vals, axis=0, norm="forward", out=self._rspec)
-        if not self._folds.size:  # row n is read at n: the product is the copy
-            what = np.multiply(self._rspec[: self.nt + 1], self._factor, out=self._what)
+        if not self._folds.size:  # row n is read at n: its kept rows take the factor
+            what = self._rspec[: self.nt + 1]
         else:
-            what = np.take(self._rspec, self._alias, axis=0, out=self._what, mode="clip")
+            what = np.take(self._rspec, self._alias, axis=0)
             what[self._folds] = np.conj(what[self._folds])
-            what *= self._factor
+        what *= self._factor
         out = np.matmul(self.proj, _pairs(what.reshape(self.nt + 1, -1)))
         return out.view(complex)[..., 0]
 

@@ -255,9 +255,10 @@ class _Engine:
     def convective(self, g: np.ndarray) -> np.ndarray:
         """Projection of u.grad(u), as omega z x u, onto every mode."""
         phys = self.tf.synthesize(g)  # (u^r, u^theta, omega) per node
-        prod = np.multiply(phys[:, 2:], phys[:, 1::-1], out=self.tf.samples)
-        np.negative(prod[:, 0], out=prod[:, 0])  # omega z x u = omega (-u^theta, u^r)
-        return self.tf.project(prod)
+        u = phys[:, :2]
+        u *= phys[:, 2:]
+        np.negative(u[:, 1], out=u[:, 1])  # omega z x u = omega (-u^theta, u^r)
+        return self.tf.project(u[:, ::-1])
 
     def rhs(self, g: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         conv = np.zeros_like(g) if self.linear else self.convective(g)

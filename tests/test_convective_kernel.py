@@ -132,6 +132,34 @@ def test_projection_reads_the_synthesis_stack_without_grid_temporaries():
     assert peak <= 256 * 1024
 
 
+@pytest.mark.parametrize("n", [1, 5, 12, 32])
+def test_in_place_kernel_is_the_out_of_place_product_bit_for_bit(n):
+    eng = _Engine(SimConfig(nu=0.01, t_end=0.2, n_theta=n, n_r=n), stokes_basis(n, n))
+    g = full_band_state(n, seed=n)
+    phys = eng.tf.synthesize(g).copy()  # (u^r, u^theta, omega) per node
+    prod = np.stack([-(phys[:, 2] * phys[:, 1]), phys[:, 2] * phys[:, 0]], axis=1)
+    want = eng.tf.project(prod)
+    assert eng.convective(g).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [12, 32])
+def test_engine_retains_its_stack_and_three_buffers(n):
+    basis = stokes_basis(n, n)
+    cfg = SimConfig(nu=0.01, t_end=0.2, n_theta=n, n_r=n)
+    _Engine(cfg, basis)  # the radial rule's caches
+    tracemalloc.start()
+    try:
+        eng = _Engine(cfg, basis)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    tf = eng.tf
+    buffers = tf.stack.nbytes + tf._spec.nbytes + tf._phys.nbytes + tf._rspec.nbytes
+    # the small arrays, and a few views per row: no sample or product grid
+    small = eng.lam.nbytes + tf._factor.nbytes + eng.r.nbytes + eng.w.nbytes + 1024 * (n + 1)
+    assert held <= buffers + small, (held, buffers)
+
+
 def unfolded_projection(tf, vals, w, quantity):
     """Transform.project term by term: weights on the samples, the kept
     rows copied with their folds, the conjugate phases, then 2 pi."""

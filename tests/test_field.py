@@ -7,10 +7,10 @@ import scipy.special as sp
 
 from diskflow.basis import QUANTITIES, StokesBasis, pair_profile, stokes_basis
 from diskflow.field import (_MASS_TOL, FieldSample, GridError, SpectralCoeffs,
-                            _gauss_radial, _lane_masses, _reality_weights, _resolves,
-                            build_grid, gram, inner_product, layer_masses, layer_rule,
-                            mode_inner_product, norm_l2, norm_sq_series, pairing,
-                            project, radial_rule, synthesize)
+                            _gauss_radial, _lane_masses, _leggauss, _reality_weights,
+                            _resolves, build_grid, gram, inner_product, layer_masses,
+                            layer_rule, mode_inner_product, norm_l2, norm_sq_series,
+                            pairing, project, radial_rule, synthesize)
 from oracles import trapezoid_radial
 
 
@@ -44,6 +44,17 @@ def test_grid_auto_doubling_resolves_bessel_mass(bas):
     g = build_grid("auto", 64, 0.0, validate_alpha=a)
     quad = float(np.sum(g.w * sp.jv(0, a * g.r) ** 2))
     assert quad == pytest.approx(0.5 * sp.jv(0, a) ** 2, abs=1e-10)
+
+
+@pytest.mark.parametrize("degrees", [range(1, 129), range(129, 257), [1024]],
+                         ids=["1-128", "129-256", "1024"])
+def test_gauss_legendre_rule_is_numpys_bit_for_bit(degrees):
+    # 1024 is layer_masses' node cap
+    from numpy.polynomial.legendre import leggauss
+
+    for deg in degrees:
+        for mine, numpys in zip(_leggauss.__wrapped__(deg), leggauss(deg)):
+            assert np.array_equal(mine, numpys), deg
 
 
 def test_grid_validation_errors():
