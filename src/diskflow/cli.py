@@ -143,7 +143,7 @@ def cmd_basis(args, outdir: Path) -> tuple[int, dict]:
 
 
 def cmd_simulate(args, outdir: Path) -> tuple[int, dict]:
-    from .solver import simulate
+    from .solver import _Schedule, simulate
 
     cfg = _with_seed(_load_config(args), args.seed)
     sim = _sim_config(cfg, Path(args.config).parent)
@@ -151,20 +151,12 @@ def cmd_simulate(args, outdir: Path) -> tuple[int, dict]:
     if snap_stride < 0:
         raise ConfigError(f"snapshot_stride must be >= 0, got {snap_stride}")
     trace = simulate(sim, state_stride=snap_stride)  # holds the snapshots' states only
-    rows = [
-        (trace.times[i], trace.u_norm_sq[i], trace.w_norm_sq[i],
-         trace.visc_cum[i], trace.energy_in[i], trace.flux[i])
-        for i in range(trace.n_samples)
-    ]
+    rows = zip(trace.times, trace.u_norm_sq, trace.w_norm_sq, trace.visc_cum,
+               trace.energy_in, trace.flux)
     _write_csv(outdir / "trace.csv",
-               ("time", "u_norm_sq", "w_norm_sq", "visc_cum", "energy_in", "flux"),
-               rows)
-    snaps = []
-    if snap_stride > 0:
-        for i in range(0, trace.n_samples, snap_stride):
-            snaps.append(trace.coeffs_at(i).to_dict())
-        if (trace.n_samples - 1) % snap_stride:
-            snaps.append(trace.coeffs_at(trace.n_samples - 1).to_dict())
+               ("time", "u_norm_sq", "w_norm_sq", "visc_cum", "energy_in", "flux"), rows)
+    held = _Schedule(trace.n_samples - 1, snap_stride).indices() if snap_stride else ()
+    snaps = [trace.coeffs_at(i).to_dict() for i in held]
     (outdir / "snapshots.json").write_text(
         json.dumps({"snapshots": snaps}, sort_keys=True) + "\n")
     status = "FAILED: " + trace.message if trace.failed else "ok"

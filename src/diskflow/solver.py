@@ -24,6 +24,24 @@ from .field import (SpectralCoeffs, Transform, block_buffer, live_rows, norm_sq_
                     pairing, radial_rule)
 
 
+class _Schedule:
+    """The indices 0, s, 2s, ... and last, for a stride s (0: 0 and last)."""
+
+    def __init__(self, last: int, stride: int):
+        self.last, self.every = last, stride or last or 1
+        self.count = -(-last // self.every) + 1  # an int: exact past 2**63
+
+    def __contains__(self, i) -> bool:
+        return i % self.every == 0 or i == self.last
+
+    def slot(self, i) -> int:
+        """The position of i among the indices, or of the next index if i is not one."""
+        return -(-i // self.every)
+
+    def indices(self) -> np.ndarray:
+        return np.r_[0:self.last:self.every, self.last]
+
+
 class SolverInstability(RuntimeError):
     """Norm grew by more than 10x in a single step, beyond what the forcing
     alone supplies."""
@@ -82,12 +100,11 @@ class SimConfig:
 class SimTrace:
     """Sampled history of one run: times, coefficients, and scalar series.
 
-    The series cover every sample; g holds every sample's state when
-    state_stride is 1, else those of samples 0, s, 2s, ... and the last only
-    (s = state_stride; 0: the first and the last), which states() and
-    coeffs_at() serve one at a time: any other, and so moments and vv_gap,
-    raise ValueError.  A closed-form (unforced linear) trace is given g=None
-    and no series, the initial state g0 and its eigenvalues lam, and computes
+    The series cover every sample, and g the states of the samples in
+    _Schedule(n_samples - 1, state_stride): states() and coeffs_at() serve
+    these one at a time, and any other, so moments and vv_gap, raise
+    ValueError.  A closed-form (unforced linear) trace is given g=None and
+    no series, the initial state g0 and its eigenvalues lam, and computes
     each state g0 exp(-nu lam t) when it is read.  states() is every library
     reader's access to them; g itself is built in full, one block at a time,
     on first access, and the first read of any of u_norm_sq, w_norm_sq and
@@ -105,7 +122,7 @@ class SimTrace:
     message: str = ""
     g0: np.ndarray | None = None   # closed form: the state at t = 0
     lam: np.ndarray | None = None  # and the eigenvalues of its modes
-    state_stride: int = 1          # g holds samples 0, s, 2s, ... and the last
+    state_stride: int = 1          # g holds the samples of its _Schedule
 
     _lazy = ("g", "u_norm_sq", "w_norm_sq", "visc_cum")  # closed form: built when read
 
@@ -156,19 +173,15 @@ class SimTrace:
 
     def _slot(self, s):
         """Where g holds the states of samples s: s itself when g holds every
-        sample, else the slot of the one held sample s."""
+        sample, else the slot of the one held sample s in its _Schedule."""
         if (k := self.state_stride) == 1:
             return s
-        last = self.n_samples - 1
-        if isinstance(s, (int, np.integer)):
-            i, every = range(last + 1)[s], k or last + 1  # IndexError past either end
-            if i % every == 0:
-                return i // every
-            if i == last:
-                return -1
-        held = f"the multiples of {k}" if k else "0"
-        raise ValueError(f"sample {s!r} is not held: a trace of state_stride {k} holds "
-                         f"the states of samples {held} and the last, {last}, one at a time")
+        held = _Schedule(self.n_samples - 1, k)
+        if isinstance(s, (int, np.integer)) and (i := range(held.last + 1)[s]) in held:
+            return held.slot(i)  # range: an IndexError past either end
+        multiples = f"the multiples of {k}" if k else "0"
+        raise ValueError(f"sample {s!r} is not held: a trace of state_stride {k} holds the states"
+                         f" of samples {multiples} and the last, {held.last}, one at a time")
 
     def coeffs_at(self, i: int) -> SpectralCoeffs:
         return SpectralCoeffs(g=self.states(i).copy(), time=float(self.times[i]))
@@ -345,42 +358,42 @@ def exact_linear_solution(init: SpectralCoeffs, basis: StokesBasis, nu: float,
     return SpectralCoeffs(g=linear_trace(init, basis, nu, [t]).states(0), time=init.time + t)
 
 
-def _step_count(config: SimConfig, dt: float) -> tuple[int, int]:
-    """Steps of at most dt to t_end and the samples the run keeps (the first,
-    every sample_stride-th and the last), refused if their count is not finite
-    or a state for each exceeds memory; counts above 1e15 are printed to 3 digits."""
+def _step_count(config: SimConfig, dt: float, state_stride: int = 1) -> tuple[int, int]:
+    """Steps of at most dt to t_end and the samples of their _Schedule, refused
+    if the count is not finite or what simulate holds at state_stride (48 B of
+    series per sample and its held states, none in closed form) exceeds memory."""
     if not (dt > 0.0 and np.isfinite(ratio := config.t_end / dt)):
         raise ValueError(f"dt={dt:.6g} takes more steps to t_end={config.t_end:.6g} "
                          f"than a float can count")
     n_steps = max(1, int(np.ceil(ratio - 1e-12)))
-    states = -(-n_steps // config.sample_stride) + 1
-    size = states * (config.n_theta + 1) * config.n_r * 16  # complex128
+    samples = _Schedule(n_steps, config.sample_stride).count
+    closed = config.linear and config.forcing is None
+    states = 0 if closed else _Schedule(samples - 1, state_stride).count
+    size = states * (config.n_theta + 1) * config.n_r * 16 + 48 * samples  # complex, float
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if size > memory:
         big = ".3g" if n_steps > 1e15 else ""
         raise ValueError(
-            f"dt={dt:.6g} takes {n_steps:{big}} steps, whose trace of {states:{big}} "
-            f"states of {config.n_theta + 1} x {config.n_r} complex "
+            f"dt={dt:.6g} takes {n_steps:{big}} steps, whose trace of {samples:{big}} samples "
+            f"and {states:{big}} states of {config.n_theta + 1} x {config.n_r} complex "
             f"({size / 2**30:{big or '.1f'}} GiB) exceeds physical memory "
             f"({memory / 2**30:.1f} GiB)")
-    return n_steps, states
+    return n_steps, samples
 
 
 @np.errstate(all="ignore")  # an overflow fails the checks below
 def simulate(config: SimConfig, basis: StokesBasis | None = None,
              state_stride: int = 1) -> SimTrace:
     """Run to t_end, recording the running integrals of every sample and the
-    states of samples 0, s, 2s, ... and of the last (s = state_stride, in
-    samples; 0: the first and the last) into buffers allocated once; the
-    guard of _step_count counts every sample's state.  An unforced linear
-    run is returned in closed form, which serves every state.  A stepped
-    run whose series are not finite, or an unforced one whose energy budget
-    misses by more than 1e-3 |u(0)|^2, is returned failed; one stopped by
-    SolverInstability is returned failed and ends at, and holds, its last
-    accepted state."""
+    states of _Schedule(samples - 1, state_stride) into buffers allocated
+    once, as _step_count counts them first.  An unforced linear run is
+    returned in closed form, which serves every state.  A stepped run whose
+    series are not finite, or an unforced one whose energy budget misses by
+    more than 1e-3 |u(0)|^2, is returned failed, as is one stopped by
+    SolverInstability, which ends at and holds its last accepted state."""
     if state_stride < 0:
         raise ValueError(f"state_stride must be >= 0, got {state_stride}")
-    counts = _step_count(config, config.dt) if config.dt else None
+    counts = _step_count(config, config.dt, state_stride) if config.dt else None
     basis = basis or stokes_basis(config.n_theta, config.n_r)
     if isinstance(config.init, SpectralCoeffs):
         state = config.init.copy()
@@ -400,13 +413,14 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None,
     if not np.isfinite(2.0 * config.nu * (lam_max := float(eng.lam.max()))):
         raise ValueError(f"nu={config.nu:g}: 2 nu lam_max (lam_max={lam_max:.6g}) "
                          f"overflows a float")
-    n_steps, samples = counts or _step_count(config, default_dt(config, eng, state))
+    n_steps, samples = counts or _step_count(config, default_dt(config, eng, state),
+                                             state_stride)
     dt = config.t_end / n_steps
+    sampled = _Schedule(n_steps, config.sample_stride)
     if config.linear and config.forcing is None:
         # an unforced step is exactly decay * g, so the closed form at the
         # step times is the run; its norm only shrinks, so it cannot fail
-        keep = np.r_[0:n_steps:config.sample_stride, n_steps]
-        return linear_trace(state, basis, config.nu, dt * keep)
+        return linear_trace(state, basis, config.nu, dt * sampled.indices())
     # Per-step viscous dissipation uses the exact exponential profile of each
     # mode (averaged forward/backward), not the trapezoid rule: the fast
     # modes decay on scales well below any reasonable dt.
@@ -415,11 +429,11 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None,
     visc = ein = 0.0
     phi, conv = eng.rhs(state.g, 0.0)
     fl = 0.0 if config.linear else pairing(state.g, 1.0, b=conv)[0]
-    every = state_stride or samples - 1  # held: sample j % every == 0, and the last
-    g = np.empty((-(-(samples - 1) // every) + 1, *state.g.shape), complex)
+    holds = _Schedule(samples - 1, state_stride)
+    g = np.empty((holds.count, *state.g.shape), complex)
     series = np.empty((6, samples))  # time, |u|^2, |omega|^2, visc_cum, energy_in, flux
     g[0], series[:, 0] = state.g, (state.time, u2, w2, visc, ein, fl)
-    kept, held, failed, message = 1, 1, False, ""
+    kept, failed, message = samples, False, ""
     try:
         for i in range(1, n_steps + 1):
             t = state.time
@@ -432,17 +446,15 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None,
             state = SpectralCoeffs(g=gnew, time=t + dt)
             phi, conv = eng.rhs(state.g, state.time)
             fl = 0.0 if config.linear else pairing(state.g, 1.0, b=conv)[0]
-            if i % config.sample_stride == 0 or i == n_steps:
-                series[:, kept] = state.time, u2, w2, visc, ein, fl
-                if kept % every == 0 or i == n_steps:
-                    g[held], held = state.g, held + 1
-                kept += 1
+            if i in sampled:
+                j = sampled.slot(i)
+                series[:, j] = state.time, u2, w2, visc, ein, fl
+                if j in holds:
+                    g[holds.slot(j)] = state.g
     except SolverInstability as exc:  # the last accepted state closes the trace
-        failed, message = True, str(exc)
-        if new := (i - 1) % config.sample_stride != 0:  # not yet a sample
-            series[:, kept], kept = (state.time, u2, w2, visc, ein, fl), kept + 1
-        if new or (kept - 1) % every:  # not yet held
-            g[held], held = state.g, held + 1
+        failed, message, kept = True, str(exc), sampled.slot(i - 1) + 1
+        series[:, kept - 1] = state.time, u2, w2, visc, ein, fl  # its sample, if not yet
+        g[holds.slot(kept - 1)] = state.g  # and its held state
     # unforced, the budget closes to the Heun error; forced, energy_in adds
     # its own trapezoid error.  Either way every series must be finite.
     s, forced = series[:, :kept], config.forcing is not None
@@ -452,8 +464,9 @@ def simulate(config: SimConfig, basis: StokesBasis | None = None,
             f"energy budget residual {resid / s[1, 0]:.3g} |u(0)|^2 (limit 1e-3), "
             f"flux up to {np.abs(s[5]).max():.3g}, at dt={dt:.3g} "
             f"(nu lam_max dt={config.nu * lam_max * dt:.3g})")
-    return SimTrace(config.nu, series[0, :kept], g[:held], *series[1:, :kept],
-                    failed=failed, message=message, state_stride=state_stride)
+    return SimTrace(config.nu, series[0, :kept], g[: holds.slot(kept - 1) + 1],
+                    *series[1:, :kept], failed=failed, message=message,
+                    state_stride=state_stride)
 
 
 def linear_trace(init: SpectralCoeffs, basis: StokesBasis, nu: float,

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -298,7 +299,33 @@ def test_trace_beyond_physical_memory_exits_2_before_any_allocation(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert re.fullmatch(r"diskflow simulate: dt=1e-12 takes 1000000000\d steps, whose "
-                        r"trace of 1000000000\d states of 5 x 4 complex \([0-9.]+ GiB\) "
+                        r"trace of 1000000000\d samples and " + ("0" if linear else "2")
+                        + r" states of 5 x 4 complex \([0-9.]+ GiB\) "
+                        r"exceeds physical memory \([0-9.]+ GiB\)", err[0]), err[0]
+    assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+def test_a_run_whose_series_exceed_physical_memory_exits_2_before_any_allocation(
+        tmp_path, capsys, monkeypatch):
+    import diskflow.solver
+
+    def allocates(*args, **kwargs):
+        raise AssertionError("built before the trace size was checked")
+
+    # a state of each sample would just fit in memory, but the run holds two
+    # states and six float64 series of every sample, three times memory: a
+    # guard that counted states alone would admit it, and numpy's allocation
+    # of the series would end it with a MemoryError traceback and exit 1
+    monkeypatch.setattr(diskflow.solver, "stokes_basis", allocates)
+    monkeypatch.setattr(diskflow.solver, "_Engine", allocates)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    cfgfile = _write_sim_config(tmp_path, nu=1, t_end=1, n_theta=0, n_r=1,
+                                dt=1 / (memory // 16 - 2), linear=False)
+    assert main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"diskflow simulate: dt=[0-9.e-]+ takes \d+ steps, whose trace of "
+                        r"\d+ samples and 2 states of 1 x 1 complex \([0-9.]+ GiB\) "
                         r"exceeds physical memory \([0-9.]+ GiB\)", err[0]), err[0]
     assert not (tmp_path / "o" / "trace.csv").exists()
 
@@ -317,9 +344,9 @@ def test_an_unrepresentable_run_exits_2_naming_its_cause(tmp_path, capsys, case)
         "huge-nu": ({"nu": 1e308, "dt": None},
                     r"nu=1e\+308: 2 nu lam_max \(lam_max=[0-9.]+\) overflows a float"),
         "huge-count": ({"t_end": 1e300, "dt": 0.001},
-                       r"dt=0\.001 takes 1e\+303 steps, whose trace of 1e\+303 states of "
-                       r"3 x 3 complex \(1\.34e\+296 GiB\) exceeds physical memory "
-                       r"\([0-9.]+ GiB\)"),
+                       r"dt=0\.001 takes 1e\+303 steps, whose trace of 1e\+303 samples and "
+                       r"0 states of 3 x 3 complex \(4\.47e\+295 GiB\) exceeds physical "
+                       r"memory \([0-9.]+ GiB\)"),
         "amplitude-linear": ({"init": "generic", "amplitude": 1e308},
                              r"initial \|u\|\^2=inf, \|omega\|\^2=inf: amplitude=1e\+308 "
                              r"is too large"),

@@ -1,6 +1,8 @@
 """Passes over a sampled trace: one trace plus one block of memory, and the
 same bits as the unblocked formulas they replace."""
 
+import os
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -128,7 +130,7 @@ def test_moments_of_no_row_or_every_row_live_match_the_unblocked_product(filled)
 
 
 @pytest.mark.parametrize("stride", [1, 2, 3, 7, 410, 1000])
-def test_the_run_fills_exactly_the_states_the_guard_counted(bas, stride):
+def test_the_run_fills_exactly_the_states_the_guard_counted(bas, stride, monkeypatch):
     cfg = SimConfig(nu=0.03, t_end=0.41, n_theta=6, n_r=6, dt=0.001, init="generic",
                     seed=3, sample_stride=stride)
     n_steps, states = _step_count(cfg, cfg.dt)
@@ -143,6 +145,12 @@ def test_the_run_fills_exactly_the_states_the_guard_counted(bas, stride):
     # of samples 0, s, 2s, ... and the last (0: the first and the last)
     for s in (0, 1, 7, 410):
         thin = simulate(cfg, bas, state_stride=s)
+        with monkeypatch.context() as m:  # no memory: the guard names its counts
+            m.setattr(os, "sysconf", lambda name: 0)
+            with pytest.raises(ValueError) as refused:
+                _step_count(cfg, cfg.dt, s)
+        counted = re.search(r"of (\d+) samples and (\d+) states", str(refused.value))
+        assert counted.groups() == (str(states), str(thin.g.shape[0])), s
         for name in ("times", "u_norm_sq", "w_norm_sq", "visc_cum", "energy_in", "flux"):
             assert np.array_equal(getattr(thin, name), getattr(tr, name)), (s, name)
         held = np.r_[0:states - 1:s or states, states - 1]
@@ -153,6 +161,17 @@ def test_the_run_fills_exactly_the_states_the_guard_counted(bas, stride):
             else:
                 with pytest.raises(ValueError, match=f"sample {i} is not held.*stride {s}"):
                     thin.states(i)
+    # on an 8 GiB machine, a million steps at n = 64 hold 11 states (0.7 MB)
+    # and 48 MB of series at state_stride 10^5, every state (62.0 GiB) at 1,
+    # and no state in closed form
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}.get)
+    big = SimConfig(nu=0.01, t_end=1.0, n_theta=64, n_r=64, dt=1e-6)
+    assert _step_count(big, big.dt, 10**5) == (10**6, 10**6 + 1)
+    with pytest.raises(ValueError, match=r"of 1000001 samples and 1000001 states of "
+                                         r"65 x 64 complex \(62\.0 GiB\) exceeds physical "
+                                         r"memory \(8\.0 GiB\)"):
+        _step_count(big, big.dt, 1)
+    assert _step_count(replace(big, linear=True), big.dt, 1) == (10**6, 10**6 + 1)
 
 
 def test_readers_of_every_state_refuse_a_thinned_trace(bas):
