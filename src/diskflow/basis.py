@@ -33,26 +33,6 @@ PHASES = {
 QUANTITIES = {q: len(ph) for q, ph in PHASES.items()}
 
 
-class LRUCache(dict):
-    """A dict of at most maxsize entries: get() marks an entry as used, and
-    a new entry drops the least recently used."""
-
-    def __init__(self, maxsize: int):
-        super().__init__()
-        self.maxsize = maxsize
-
-    def get(self, key, default=None):
-        if key in self:
-            self[key] = self.pop(key)
-        return super().get(key, default)
-
-    def __setitem__(self, key, value):
-        self.pop(key, None)
-        super().__setitem__(key, value)
-        if len(self) > self.maxsize:
-            del self[next(iter(self))]
-
-
 @dataclass(frozen=True)
 class EigenPair:
     """One Stokes mode: indices, eigenvalue, zeros, and scale constants."""
@@ -87,11 +67,6 @@ class StokesBasis:
         ns = ns.astype(float)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             self.d_const = np.where(ns >= 1, -self.lam * self.j_at_alpha / ns, np.nan)
-        # filled by field.gram: one gradient pass per rule caches five stacks,
-        # so a trace's thin and wide rules hold ten
-        self._gram_cache = LRUCache(10)
-        # filled by diagnostics' ratio scans: the rows of each x grid's scans
-        self._ratio_cache = LRUCache(2)
 
     def _check(self, n: int, k: int) -> None:
         if not (0 <= n <= self.n_max):

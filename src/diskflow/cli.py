@@ -70,6 +70,13 @@ def _expect(cfg: dict, key: str, types, default=None, required=False):
     return val
 
 
+def _check_keys(cfg: dict, valid, where: str = "config") -> None:
+    """Refuse a key the command does not read, lest a typo run the default."""
+    for key in cfg:
+        if key not in valid:
+            raise ConfigError(f"unknown {where} key {key!r}; valid: {', '.join(valid)}")
+
+
 def _with_seed(cfg: dict, seed: int | None) -> dict:
     """cfg with "seed" resolved: the --seed override, else its own, else 0."""
     return {**cfg, "seed": int(seed if seed is not None
@@ -93,9 +100,11 @@ def _resolve_init(spec, base: Path):
     raise ConfigError("init must be a preset name or {'file': path}")
 
 
-def _sim_config(cfg: dict, base: Path) -> SimConfig:
+def _sim_config(cfg: dict, base: Path, where: str = "config", extra=()) -> SimConfig:
     from .solver import SimConfig
 
+    _check_keys(cfg, ("nu", "t_end", "n_theta", "n_r", "dt", "init", "linear", "seed",
+                      "amplitude", "sample_stride", *extra), where)
     init = _resolve_init(_expect(cfg, "init", (str, dict), "radial-1"), base)
     dt = _expect(cfg, "dt", (int, float, type(None)), None)  # null: automatic
     return SimConfig(
@@ -146,7 +155,7 @@ def cmd_simulate(args, outdir: Path) -> tuple[int, dict]:
     from .solver import _Schedule, simulate
 
     cfg = _with_seed(_load_config(args), args.seed)
-    sim = _sim_config(cfg, Path(args.config).parent)
+    sim = _sim_config(cfg, Path(args.config).parent, extra=("snapshot_stride",))
     snap_stride = int(_expect(cfg, "snapshot_stride", int, 0))
     if snap_stride < 0:
         raise ConfigError(f"snapshot_stride must be >= 0, got {snap_stride}")
@@ -193,6 +202,8 @@ def cmd_sweep(args, outdir: Path) -> tuple[int, dict]:
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     cfg = _load_config(args)
+    # a manifest's config also holds the failures, and must rerun
+    _check_keys(cfg, ("nu_list", "kinds", "schedule", "sim", "failures"))
     nu_list = _expect(cfg, "nu_list", list, required=True)
     if not nu_list or any(type(v) not in (int, float) or v <= 0 for v in nu_list):
         raise ConfigError("nu_list must be a nonempty list of positive numbers")
@@ -205,10 +216,7 @@ def cmd_sweep(args, outdir: Path) -> tuple[int, dict]:
             raise ConfigError(f"unknown condition kind {kind!r}; "
                               f"valid: {', '.join(valid_kinds)}")
     sched_cfg = _expect(cfg, "schedule", dict, {})
-    valid = ScheduleSpec.__dataclass_fields__
-    for key in sched_cfg:
-        if key not in valid:
-            raise ConfigError(f"unknown schedule key {key!r}; valid: {', '.join(valid)}")
+    _check_keys(sched_cfg, ScheduleSpec.__dataclass_fields__, "schedule")
     schedule = ScheduleSpec(**{k: float(_expect(sched_cfg, k, (int, float)))
                                for k in sched_cfg})
     if len(nu_list) >= 2 and set(kinds) - {"gap", "K1"}:
@@ -218,7 +226,7 @@ def cmd_sweep(args, outdir: Path) -> tuple[int, dict]:
         raise ConfigError("config key 'sim.nu' is not read: a sweep takes its "
                           "viscosities from nu_list")
 
-    sim = _sim_config({**sim_cfg, "nu": nu_list[0]}, Path(args.config).parent)
+    sim = _sim_config({**sim_cfg, "nu": nu_list[0]}, Path(args.config).parent, "sim")
     sims = [replace(sim, nu=float(nu)) for nu in nu_list]
     # a fork pool starts all its workers at the first submit: one per point at most
     if (workers := min(args.threads, len(sims))) > 1:

@@ -21,6 +21,7 @@ by the viscosity:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -390,15 +391,14 @@ _RATIO_SCANS = {
 
 
 def _scan_ratios(lemma, n_max, k_max, basis):
-    """The rows of every ratio scan on this lemma's x grid come from one pass,
-    memoized on the basis per grid; each call builds its own report."""
-    entry, x_hi, bound = _RATIO_SCANS[lemma]
-    rows = basis._ratio_cache.get(key := (x_hi, n_max, k_max))
-    if rows is None:
-        basis._ratio_cache[key] = rows = _ratio_rows(x_hi, n_max, k_max, basis)
-    return _report(lemma, n_max, k_max, rows[lemma], isinstance(bound, str))
+    """The rows of every ratio scan on this lemma's x grid come from one
+    memoized pass; each call builds its own report."""
+    _, x_hi, bound = _RATIO_SCANS[lemma]
+    return _report(lemma, n_max, k_max, _ratio_rows(x_hi, n_max, k_max, basis)[lemma],
+                   isinstance(bound, str))
 
 
+@functools.lru_cache(maxsize=2)  # the three scans use two x grids
 def _ratio_rows(x_hi, n_max, k_max, basis):
     """{lemma: scan rows as tuples} for the ratio scans whose x grid ends at
     x_hi, from one Bessel pass over the union of their modes in blocks of at

@@ -408,24 +408,29 @@ def gram(basis: StokesBasis, rows: np.ndarray, quantity: str,
     w), shape (len(rows), k_max, k_max): row n of a state adds Re(conj(g_n)
     . G_n . g_n), doubled for n >= 1, to the squared norm over the rule's
     annulus.  One gradient radial_profiles pass, with one order per mode,
-    builds the stacks of all five quantities (it refuses any other), cached
-    on the basis per (quantity, rows, rule), the requested one last, so every
-    kind of a trace on one rule shares a pass.  No rows, no pass."""
-    r, w = rule
+    builds all five quantities' stacks (it refuses any other), memoized in
+    _gram_stacks, so every kind of a trace on one rule shares a pass.  No
+    rows, no pass."""
     rows = np.asarray(rows, dtype=np.intp)
     if not rows.size:
         return np.zeros((0, k_max, k_max))
-    key = (k_max, rows.tobytes(), r.size, hash(r.tobytes()), hash(w.tobytes()))
-    stack = basis._gram_cache.get((quantity,) + key)
-    if stack is None:
-        profs = radial_profiles(np.repeat(rows, k_max), basis.alpha[rows, :k_max].ravel(),
-                                basis.c_signed[rows, :k_max].ravel(), r,
-                                "gradient" if quantity in QUANTITIES else quantity)
-        for q in sorted(profs, key=quantity.__eq__):
-            p = profs[q].reshape(profs[q].shape[0], rows.size, k_max, r.size)
-            basis._gram_cache[(q,) + key] = stack = 2.0 * np.pi * np.sum(
-                (p * w) @ p.swapaxes(2, 3), axis=0)
-    return stack
+    return _gram_stacks(basis, rows.tobytes(), k_max,
+                        tuple(np.asarray(v, float).tobytes() for v in rule),
+                        "gradient" if quantity in QUANTITIES else quantity)[quantity]
+
+
+@lru_cache(maxsize=2)  # a trace's kinds use two rules, the thin and the wide layer's
+def _gram_stacks(basis: StokesBasis, rows: bytes, k_max: int, rule: tuple[bytes, bytes],
+                 quantity: str) -> dict[str, np.ndarray]:
+    """gram's stacks of every quantity one pass gives, keyed on exact bytes."""
+    rows, (r, w) = np.frombuffer(rows, np.intp), map(np.frombuffer, rule)
+    profs = radial_profiles(np.repeat(rows, k_max), basis.alpha[rows, :k_max].ravel(),
+                            basis.c_signed[rows, :k_max].ravel(), r, quantity)
+    stacks = {}
+    for q, prof in profs.items():
+        p = prof.reshape(prof.shape[0], rows.size, k_max, r.size)
+        stacks[q] = 2.0 * np.pi * np.sum((p * w) @ p.swapaxes(2, 3), axis=0)
+    return stacks
 
 
 def norm_sq_series(g: np.ndarray, basis: StokesBasis | None, quantity: str,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from diskflow.basis import (PHASES, QUANTITIES, LRUCache, StokesBasis, pair_profile,
+from diskflow.basis import (PHASES, QUANTITIES, StokesBasis, pair_profile,
                             radial_profiles, stokes_basis, velocity_eval,
                             velocity_gradient_eval, vorticity_eval)
 from diskflow.bessel import BesselDomainError
@@ -289,15 +289,6 @@ def test_velocity_eval_is_phase_times_real_factor(basis13, n, k, r, th):
     np.testing.assert_allclose(velocity_eval(p, r, th), expected, rtol=0, atol=1e-15)
 
 
-def test_lru_cache_evicts_least_recently_used():
-    cache = LRUCache(2)
-    cache["a"], cache["b"] = 1, 2
-    assert cache.get("a") == 1  # "b" is now the least recently used
-    cache["c"] = 3
-    assert isinstance(cache, dict) and dict(cache) == {"a": 1, "c": 3}
-    assert cache.get("b") is None
-
-
 def test_zero_table_and_basis_caches_are_bounded():
     from diskflow.basis import stokes_basis
     from diskflow.bessel import zero_table
@@ -308,17 +299,40 @@ def test_zero_table_and_basis_caches_are_bounded():
     assert zero_table.cache_info().currsize == stokes_basis.cache_info().currsize == 8
 
 
+def test_every_cache_in_the_package_is_bounded():
+    import importlib
+    import inspect
+    import pkgutil
+
+    import diskflow
+
+    memos = {}
+    for info in pkgutil.iter_modules(diskflow.__path__):
+        module = importlib.import_module(f"diskflow.{info.name}")
+        for obj in vars(module).values():
+            for fn in [obj, *(vars(obj).values() if inspect.isclass(obj) else ())]:
+                if hasattr(fn, "cache_info"):  # a functools.lru_cache wrapper
+                    memos[fn.__qualname__] = fn.cache_info().maxsize
+    assert {"_leggauss", "radial_rule", "zero_table", "stokes_basis", "_gram_stacks",
+            "_ratio_rows"} <= set(memos)
+    assert all(isinstance(size, int) for size in memos.values()), memos
+    # a basis is an immutable table: no per-instance cache can grow on it
+    assert not [k for k, v in vars(StokesBasis(3, 3)).items() if isinstance(v, dict)]
+
+
 def test_gram_cache_is_bounded():
-    from diskflow.field import gram, radial_rule
+    from diskflow.field import _gram_stacks, gram, radial_rule
 
     bas = StokesBasis(8, 4)
-    bas._gram_cache.maxsize = 3
     rule = radial_rule(0.9, float(bas.alpha.max()))
+    _gram_stacks.cache_clear()
     stacks = []
     for n in range(6):
         stacks.append(gram(bas, [n], "dtau_un", rule, 4))
         assert gram(bas, [n], "dtau_un", rule, 4) is stacks[-1]  # a hit
-    assert len(bas._gram_cache) == 3
-    assert gram(bas, [5], "dtau_un", rule, 4) is stacks[5]
-    assert gram(bas, [2], "dtau_un", rule, 4) is not stacks[2]  # dropped
-    assert len(bas._gram_cache) == 3
+    assert _gram_stacks.cache_info().currsize == _gram_stacks.cache_info().maxsize == 2
+    assert gram(bas, [4], "dtau_un", rule, 4) is stacks[4]  # [5] is now the least recent
+    assert gram(bas, [3], "dtau_un", rule, 4) is not stacks[3]  # dropped, so a new pass
+    assert gram(bas, [4], "dtau_un", rule, 4) is stacks[4]
+    assert gram(bas, [5], "dtau_un", rule, 4) is not stacks[5]  # evicted by [3]
+    assert _gram_stacks.cache_info().currsize == 2

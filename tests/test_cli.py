@@ -215,6 +215,16 @@ MALFORMED = {
     "simulate-empty-config": (["simulate"], {}, "'nu' is required"),
     "sweep-unknown-schedule-key": (
         ["sweep"], {**SWEEP, "schedule": {"aa": 0.5}}, "'aa'"),
+    # a misspelled key would leave its default in force and exit 0
+    "simulate-unknown-key": (
+        ["simulate"], {**SIM, "amplitdue": 0.2}, "unknown config key 'amplitdue'"),
+    "simulate-unknown-stride-key": (
+        ["simulate"], {**SIM, "sampel_stride": 2}, "unknown config key 'sampel_stride'"),
+    "sweep-unknown-sim-key": (
+        ["sweep"], {**SWEEP, "sim": {**SWEEP["sim"], "linaer": True}},
+        "unknown sim key 'linaer'"),
+    "sweep-unknown-key": (
+        ["sweep"], {**SWEEP, "shedule": {"c": 2.0}}, "unknown config key 'shedule'"),
     "sweep-null-schedule-value": (
         ["sweep"], {**SWEEP, "schedule": {"a": None}}, "'a'"),
     "simulate-t-end-infinite": (

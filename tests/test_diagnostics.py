@@ -7,9 +7,9 @@ from diskflow import field
 from diskflow.basis import StokesBasis, stokes_basis
 from diskflow.diagnostics import (CONDITION_KINDS, LEMMA_IDS, ScheduleError,
                                   ScheduleSpec, TraceResolutionError,
-                                  TruncationSpec, _report, condition_functional,
-                                  residual_trace, truncate, truncate_trace,
-                                  verify_lemma, vv_gap)
+                                  TruncationSpec, _ratio_rows, _report,
+                                  condition_functional, residual_trace, truncate,
+                                  truncate_trace, verify_lemma, vv_gap)
 from diskflow.field import SpectralCoeffs, _reality_weights, norm_sq_series, radial_rule
 from diskflow.solver import linear_trace, make_initial
 
@@ -101,8 +101,9 @@ def test_zero_trace_gives_zero_functionals(bas, sched):
 
 
 def test_no_live_row_gives_zero_without_profile_work(sched, monkeypatch):
-    bas = StokesBasis(4, 6)  # its own Gram cache
+    bas = StokesBasis(4, 6)
     tr = linear_trace(SpectralCoeffs.zeros(4, 6), bas, 0.05, np.linspace(0, 1, 101))
+    before = field._gram_stacks.cache_info()
     monkeypatch.setattr(field, "radial_profiles", None)  # any call would fail
     assert field.live_rows(tr.g).size == 0
     for kind in CONDITION_KINDS:
@@ -111,7 +112,7 @@ def test_no_live_row_gives_zero_without_profile_work(sched, monkeypatch):
     for quantity in ("vorticity", "gradient", "velocity", "dtau_utau", "dtau_un"):
         assert np.array_equal(norm_sq_series(tr.g, bas, quantity, rule),
                               np.zeros(tr.n_samples))
-    assert len(bas._gram_cache) == 0
+    assert field._gram_stacks.cache_info() == before  # not even a lookup
 
 
 def test_k1_matches_closed_form(bas, sched):
@@ -368,7 +369,7 @@ def test_lemma_scans_pass_at_most_a_block_of_lanes_to_the_bessel_kernel(
 
     for module in (diskflow.basis, diskflow.diagnostics):
         monkeypatch.setattr(module, "jn_trio", spy)
-    basis._ratio_cache.clear()  # an earlier scan's rows would make no pass
+    _ratio_rows.cache_clear()  # an earlier scan's rows would make no pass
     verify_lemma(lemma, 30, 30, basis)
     assert lanes and max(lanes) <= _BLOCK == 1 << 14
     assert calls is None or len(lanes) == calls
@@ -386,7 +387,7 @@ def test_ratio_scans_sharing_an_x_grid_share_one_pass(size, monkeypatch):
                         lambda n, x: calls.append(np.size(x)) or jn_trio(n, x))
 
     def scan(*lemmas):
-        basis._ratio_cache.clear()
+        _ratio_rows.cache_clear()
         calls.clear()
         reps = {lemma: verify_lemma(lemma, size, size, basis) for lemma in lemmas}
         # one pass over the whole square, however many scans of the grid ran
@@ -403,11 +404,13 @@ def test_ratio_scans_sharing_an_x_grid_share_one_pass(size, monkeypatch):
 
 
 def test_ratio_memo_holds_at_most_two_grids():
-    basis = StokesBasis(12, 12)  # its own memo
+    basis = StokesBasis(12, 12)
+    _ratio_rows.cache_clear()
     for size in (4, 8, 12):
         for lemma in ("JRatios", "Jnp1Ratios", "Jnm1Ratios"):
             verify_lemma(lemma, size, size, basis)
-        assert len(basis._ratio_cache) <= 2
+        assert _ratio_rows.cache_info().currsize == _ratio_rows.cache_info().maxsize == 2
+    assert _ratio_rows.cache_info().misses == 6  # one pass per x grid and size
     # the memo hands out the rows, never a report a caller could change
     rep = verify_lemma("JRatios", 12, 12, basis)
     rep.rows.clear()

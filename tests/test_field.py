@@ -230,21 +230,27 @@ def test_gram_stack_matches_per_row_grams(quantity):
 def test_gram_is_the_same_whichever_pass_filled_the_cache(first, filled):
     # the order of a sweep's kinds must not move its values; every request
     # makes the one gradient pass, which caches all five quantities' stacks
+    from diskflow.field import _gram_stacks
+
     rule = layer_rule(0.05, stokes_basis(6, 6).alpha)
     warm, cold = StokesBasis(6, 6), StokesBasis(6, 6)
+    _gram_stacks.cache_clear()
     gram(warm, [1, 2, 4], first, rule, 6)
-    assert len(warm._gram_cache) == 5
     for quantity in filled:
         assert np.array_equal(gram(warm, [1, 2, 4], quantity, rule, 6),
                               gram(cold, [1, 2, 4], quantity, rule, 6)), quantity
+    assert _gram_stacks.cache_info().misses == 2  # one pass for each basis
 
 
 def test_gram_refuses_an_unknown_quantity():
     # every request makes the gradient pass, which must not stand in for a typo
+    from diskflow.field import _gram_stacks
+
     bas = StokesBasis(4, 4)
+    _gram_stacks.cache_clear()
     with pytest.raises(ValueError, match="unknown quantity 'vort'"):
         gram(bas, [1], "vort", layer_rule(0.3, bas.alpha), 4)
-    assert len(bas._gram_cache) == 0
+    assert _gram_stacks.cache_info().currsize == 0
 
 
 def test_zero_mean_of_synthesized_vorticity(bas, disk_grid, rng):
