@@ -70,11 +70,14 @@ def _expect(cfg: dict, key: str, types, default=None, required=False):
     return val
 
 
-def _check_keys(cfg: dict, valid, where: str = "config") -> None:
-    """Refuse a key the command does not read, lest a typo run the default."""
-    for key in cfg:
-        if key not in valid:
-            raise ConfigError(f"unknown {where} key {key!r}; valid: {', '.join(valid)}")
+def _check_entries(items, valid, what: str) -> None:
+    """Refuse an unknown entry, lest a misspelled key run its default, and a
+    repeated one, which would run and write its rows twice."""
+    items = list(items)
+    if unknown := [x for x in items if x not in valid]:
+        raise ConfigError(f"unknown {what} {unknown[0]!r}; valid: {', '.join(valid)}")
+    if repeated := [x for i, x in enumerate(items) if x in items[:i]]:
+        raise ConfigError(f"{what} {repeated[0]!r} is repeated")
 
 
 def _with_seed(cfg: dict, seed: int | None) -> dict:
@@ -103,8 +106,8 @@ def _resolve_init(spec, base: Path):
 def _sim_config(cfg: dict, base: Path, where: str = "config", extra=()) -> SimConfig:
     from .solver import SimConfig
 
-    _check_keys(cfg, ("nu", "t_end", "n_theta", "n_r", "dt", "init", "linear", "seed",
-                      "amplitude", "sample_stride", *extra), where)
+    _check_entries(cfg, ("nu", "t_end", "n_theta", "n_r", "dt", "init", "linear", "seed",
+                         "amplitude", "sample_stride", *extra), f"{where} key")
     init = _resolve_init(_expect(cfg, "init", (str, dict), "radial-1"), base)
     dt = _expect(cfg, "dt", (int, float, type(None)), None)  # null: automatic
     return SimConfig(
@@ -125,12 +128,8 @@ def cmd_zeros(args, outdir: Path) -> tuple[int, dict]:
     n_max, k_max = args.n_max, args.k_max
     if n_max < 0 or k_max < 0:
         raise ConfigError("bounds must be nonnegative")
-    rows = []
-    if k_max >= 1:
-        tab = zero_table(n_max, k_max)
-        for n in range(n_max + 1):
-            for k in range(1, k_max + 1):
-                rows.append((n, k, tab.zero(n, k)))
+    tab = zero_table(n_max, k_max) if k_max >= 1 else None  # no zeros, no table
+    rows = [(n, k, tab.zero(n, k)) for n in range(n_max + 1) for k in range(1, k_max + 1)]
     _write_csv(outdir / "zeros.csv", ("n", "k", "zero"), rows)
     print(f"wrote {outdir / 'zeros.csv'} ({len(rows)} rows)")
     return 0, {"n_max": n_max, "k_max": k_max}
@@ -203,20 +202,18 @@ def cmd_sweep(args, outdir: Path) -> tuple[int, dict]:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     cfg = _load_config(args)
     # a manifest's config also holds the failures, and must rerun
-    _check_keys(cfg, ("nu_list", "kinds", "schedule", "sim", "failures"))
+    _check_entries(cfg, ("nu_list", "kinds", "schedule", "sim", "failures"), "config key")
     nu_list = _expect(cfg, "nu_list", list, required=True)
     if not nu_list or any(type(v) not in (int, float) or v <= 0 for v in nu_list):
         raise ConfigError("nu_list must be a nonempty list of positive numbers")
     if any(b >= a for a, b in zip(nu_list, nu_list[1:])):
         raise ConfigError("nu_list must be strictly decreasing")
     kinds = _expect(cfg, "kinds", list, required=True)
-    valid_kinds = CONDITION_KINDS + ("gap",)
-    for kind in kinds:
-        if kind not in valid_kinds:
-            raise ConfigError(f"unknown condition kind {kind!r}; "
-                              f"valid: {', '.join(valid_kinds)}")
+    if not kinds:
+        raise ConfigError("no condition kind given")
+    _check_entries(kinds, CONDITION_KINDS + ("gap",), "condition kind")
     sched_cfg = _expect(cfg, "schedule", dict, {})
-    _check_keys(sched_cfg, ScheduleSpec.__dataclass_fields__, "schedule")
+    _check_entries(sched_cfg, ScheduleSpec.__dataclass_fields__, "schedule key")
     schedule = ScheduleSpec(**{k: float(_expect(sched_cfg, k, (int, float)))
                                for k in sched_cfg})
     if len(nu_list) >= 2 and set(kinds) - {"gap", "K1"}:
@@ -228,6 +225,8 @@ def cmd_sweep(args, outdir: Path) -> tuple[int, dict]:
 
     sim = _sim_config({**sim_cfg, "nu": nu_list[0]}, Path(args.config).parent, "sim")
     sims = [replace(sim, nu=float(nu)) for nu in nu_list]
+    # every row reports its point's cutoffs: resolved, or refused, before any point runs
+    cutoffs = [(schedule.L(s.nu), schedule.M(s.nu), schedule.delta(s.nu)) for s in sims]
     # a fork pool starts all its workers at the first submit: one per point at most
     if (workers := min(args.threads, len(sims))) > 1:
         # imported here: at module level it adds ~15 ms to every command
@@ -241,9 +240,8 @@ def cmd_sweep(args, outdir: Path) -> tuple[int, dict]:
 
     rows = []
     failures = {}
-    for res in results:
+    for res, (L, M, delta) in zip(results, cutoffs):
         nu = res["nu"]
-        L, M, delta = schedule.L(nu), schedule.M(nu), schedule.delta(nu)
         if res["error"]:
             failures[repr(nu)] = res["error"]
         for kind in kinds:
@@ -261,12 +259,9 @@ def cmd_verify(args, outdir: Path) -> tuple[int, dict]:
     from .diagnostics import LEMMA_IDS, verify_lemma
 
     ids = LEMMA_IDS if args.lemmas == "all" else tuple(args.lemmas.split(","))
-    bad = [i for i in ids if i not in LEMMA_IDS]
-    if bad:
-        raise ConfigError(f"unknown lemma ids {bad}; valid: {', '.join(LEMMA_IDS)}")
+    _check_entries(ids, LEMMA_IDS, "lemma id")
     rows = []
     summary = {}
-    all_pass = True
     for lid in ids:
         rep = verify_lemma(lid, args.n_max, args.k_max)
         rows.extend((rep.lemma, *row) for row in rep.rows)
@@ -276,8 +271,6 @@ def cmd_verify(args, outdir: Path) -> tuple[int, dict]:
             "constant": rep.constant,
             **rep.extra,
         }
-        if rep.passed is False:
-            all_pass = False
         verdict = {True: "pass", False: "FAIL", None: "report"}[rep.passed]
         cinfo = f" C={rep.constant:.4g}" if rep.constant is not None else ""
         print(f"{lid:28s} {verdict:7s} worst margin {rep.worst_margin:+.3e}{cinfo}")
@@ -285,8 +278,8 @@ def cmd_verify(args, outdir: Path) -> tuple[int, dict]:
                ("lemma", "n", "k", "param", "observed", "bound", "margin"), rows)
     (outdir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return (0 if all_pass else 1), {"lemmas": list(ids), "n_max": args.n_max,
-                                    "k_max": args.k_max}
+    failed = any(s["passed"] is False for s in summary.values())
+    return int(failed), {"lemmas": list(ids), "n_max": args.n_max, "k_max": args.k_max}
 
 
 def build_parser() -> argparse.ArgumentParser:

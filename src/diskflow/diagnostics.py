@@ -24,13 +24,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .basis import StokesBasis, stokes_basis
 from .bessel import _BLOCK, compound_decay, jn_trio, zero_table
-from .field import (SpectralCoeffs, block_buffer, gram, layer_masses, layer_rule, live_rows,
+from .field import (SpectralCoeffs, gram, layer_masses, layer_rule, live_rows,
                     mode_inner_product, pairing)
 
 if TYPE_CHECKING:  # vv_gap imports it at call time, so verify loads no solver
@@ -139,10 +140,17 @@ class ScheduleSpec:
             raise ScheduleError("layer constant c must be positive")
 
     def L(self, nu: float) -> int:
-        return int(math.ceil(nu ** (-self.a)))
+        return self._ceil_power(nu, "a")
 
     def M(self, nu: float) -> int:
-        return int(math.ceil(nu ** (-self.b)))
+        return self._ceil_power(nu, "b")
+
+    def _ceil_power(self, nu: float, exponent: str) -> int:
+        try:
+            return int(math.ceil(nu ** -getattr(self, exponent)))
+        except OverflowError:
+            raise ScheduleError(f"ceil(nu**-{exponent}) overflows a float at nu={nu!r}, "
+                                f"{exponent}={getattr(self, exponent)!r}") from None
 
     def delta(self, nu: float) -> float:
         return nu ** self.gamma
@@ -231,8 +239,8 @@ def condition_functional(trace: SimTrace, kind: str, schedule: ScheduleSpec,
 
 def vv_gap(trace: SimTrace, reference, basis: StokesBasis) -> float:
     """Sup over samples of the L2 distance between the trace velocity and a
-    reference velocity (steady coefficients or an aligned time series),
-    one block of samples at a time (block_buffer).
+    reference velocity (steady coefficients or an aligned time series), over
+    the trace's SimTrace.blocks, zipped with the reference's if it is a trace.
 
     A closed-form trace against its own g0, with nu and every time >= 0,
     pairs its one state at the largest time: there |u(t) - u(0)|^2 = sum_n
@@ -240,30 +248,24 @@ def vv_gap(trace: SimTrace, reference, basis: StokesBasis) -> float:
     nondecreasing in t, so the sup is at the last sample."""
     from .solver import SimTrace
 
-    shape = trace.states(0).shape
-    first, end = 0, trace.n_samples
+    shape, first, end = trace.states(0).shape, 0, trace.n_samples
     if isinstance(reference, SpectralCoeffs):
-        def ref(s, out):
-            return reference.g
         if (trace.g0 is not None and min(trace.nu, trace.times.min()) >= 0.0
                 and np.array_equal(reference.g, trace.g0)):
             end = (first := int(np.argmax(trace.times))) + 1
+        refs = repeat((None, reference.g, None))
     elif isinstance(reference, SimTrace):
         if (reference.times.size != trace.times.size
-                or not np.allclose(reference.times, trace.times, atol=1e-12)):
-            raise ValueError("reference sample times do not match the trace")
-        ref = reference.states
+                or not np.allclose(reference.times, trace.times, atol=1e-12)
+                or reference.states(0).shape != shape):
+            raise ValueError("reference sample times or state shape do not match the trace")
+        refs = reference.blocks()
     else:
         raise TypeError("reference must be SpectralCoeffs or SimTrace")
-    ilam = 1.0 / basis.lam[: shape[0], : shape[1]]
-    step, buf = block_buffer(end - first, shape)
-    a = np.empty((min(step, end - first), *shape), complex)
-    b = np.empty_like(a) if isinstance(reference, SimTrace) else a
-    u2 = []
-    for i in range(first, end, step):
-        s, m = slice(i, min(i + step, end)), min(step, end - i)
-        d = np.subtract(trace.states(s, out=a[:m]), ref(s, out=b[:m]), out=a[:m])
-        u2.append(pairing(d, ilam, buf=buf)[0])
+    ilam, d, u2 = 1.0 / basis.lam[: shape[0], : shape[1]], None, []
+    for (_, gs, f), (_, rs, _) in zip(trace.blocks(first, end), refs):
+        d = np.subtract(gs, rs, out=None if d is None else d[: len(gs)])
+        u2.append(pairing(d, ilam, buf=f)[0])
     return float(np.sqrt(np.concatenate(u2).max()))
 
 

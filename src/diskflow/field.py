@@ -118,33 +118,25 @@ def radial_rule(r_lo: float, alpha_max: float, n_start: int = 48) -> tuple[np.nd
     """Gauss rule (r, w) on (r_lo, 1) for mode products up to alpha_max with
     the fewest nodes >= n_start that pass _resolves.  The count is predicted
     from a = alpha_max (1 - r_lo), a product of frequency and length; the
-    search gallops from there (q, q -+ 1, q -+ 2, q -+ 4, ...) until a pass
-    and a fail bracket the count, then bisects.  The J_0 check passes 4
-    nodes at delta = 0.01, n = 24, which miss the layer norms by 2e-7
-    relative, so 48 is the floor here; layer_masses sizes the lemma scans'
-    rules by self-convergence instead."""
+    search walks from there, down while one node fewer passes, or else up to
+    the first count that passes, so it takes the check to be monotone near
+    the answer.  The J_0 check passes 4 nodes at delta = 0.01, n = 24,
+    which miss the layer norms by 2e-7 relative, so 48 is the floor here;
+    layer_masses sizes the lemma scans' rules by self-convergence instead."""
     if not (np.isfinite(r_lo) and np.isfinite(alpha_max)):
         raise GridError(f"radial rule needs finite r_lo and alpha, got "
                         f"({r_lo}, {alpha_max})")
     cap = n_start * 2**9
     a = alpha_max * (1.0 - r_lo)
-    q = min(max(n_start, round(0.5 * a + 3.0 * np.cbrt(a) + 2.0)), cap)
-    up = not _resolves(q, alpha_max, r_lo)
-    # lo fails or is below the floor; hi passes or is past the cap
-    lo, hi = (q, cap + 1) if up else (n_start - 1, q)
-    step, bracketed = 1, False
-    while hi - lo > 1:
-        if bracketed:
-            t = (lo + hi) // 2
-        else:
-            t = min(q + step, hi - 1) if up else max(q - step, lo + 1)
-            step *= 2
-        passes = _resolves(t, alpha_max, r_lo)
-        bracketed |= passes == up
-        lo, hi = (lo, t) if passes else (t, hi)
-    if hi > cap:
-        raise GridError(f"radial rule not converged for alpha={alpha_max} on ({r_lo}, 1)")
-    return _gauss_radial(hi, r_lo)
+    n = min(max(n_start, round(0.5 * a + 3.0 * np.cbrt(a) + 2.0)), cap)
+    if _resolves(n, alpha_max, r_lo):
+        while n > n_start and _resolves(n - 1, alpha_max, r_lo):
+            n -= 1
+        return _gauss_radial(n, r_lo)
+    for n in range(n + 1, cap + 1):
+        if _resolves(n, alpha_max, r_lo):
+            return _gauss_radial(n, r_lo)
+    raise GridError(f"radial rule not converged for alpha={alpha_max} on ({r_lo}, 1)")
 
 
 def layer_rule(delta, alphas) -> tuple[np.ndarray, np.ndarray]:
@@ -453,13 +445,6 @@ def norm_sq_series(g: np.ndarray, basis: StokesBasis | None, quantity: str,
     gl = np.ascontiguousarray(g[..., rows, :], dtype=complex)
     ggl = (gram(basis, rows, quantity, rule, g.shape[-1]) @ _pairs(gl)).view(complex)[..., 0]
     return pairing(gl, 1.0, b=ggl, rows=rows)[0]
-
-
-def block_buffer(n_samples: int, shape: tuple) -> tuple[int, np.ndarray]:
-    """States per block of a pass over a trace of states of this shape
-    (_BLOCK elements, one state at least) and a float buffer for one block."""
-    step = max(1, _BLOCK // int(np.prod(shape)))
-    return step, np.empty((min(step, n_samples), *shape))
 
 
 def norm_l2(source, basis: StokesBasis | None = None, quantity: str = "vorticity",

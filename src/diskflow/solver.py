@@ -20,8 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from .basis import StokesBasis, stokes_basis
-from .field import (SpectralCoeffs, Transform, block_buffer, live_rows, norm_sq_series,
-                    pairing, radial_rule)
+from .bessel import _BLOCK
+from .field import (SpectralCoeffs, Transform, live_rows, norm_sq_series, pairing,
+                    radial_rule)
 
 
 class _Schedule:
@@ -135,25 +136,19 @@ class SimTrace:
     def __getattr__(self, name):
         if name not in self._lazy or self.__dict__.get("g0") is None:
             raise AttributeError(name)
-        if name == "g":
+        if name == "g":  # set after the pass: states() reads g once it is set
             g = np.empty((self.n_samples, *self.g0.shape), complex)
-            step = block_buffer(self.n_samples, self.g0.shape)[0]
-            for i in range(0, self.n_samples, step):
-                self.states(slice(i, i + step), out=g[i:i + step])
+            for s, gs, _ in self.blocks():
+                g[s] = gs
             self.g = g
             return g
-        # the series in one complex and one float block per block of samples
-        nu, lam, times = self.nu, self.lam, self.times
-        step, buf = block_buffer(times.size, lam.shape)
-        self.u_norm_sq, self.w_norm_sq, self.visc_cum = np.empty((3, times.size))
-        g = np.empty((min(step, times.size), *lam.shape), complex)
-        for i in range(0, times.size, step):
-            s = slice(i, i + step)
-            gs, f = self.states(s, out=g[: times[s].size]), buf[: times[s].size]
-            np.exp(np.multiply(-2.0 * nu * lam, times[s, None, None], out=f), out=f)
+        nu, lam = self.nu, self.lam
+        self.u_norm_sq, self.w_norm_sq, self.visc_cum = np.empty((3, self.n_samples))
+        for s, gs, f in self.blocks():
+            np.exp(np.multiply(-2.0 * nu * lam, self.times[s, None, None], out=f), out=f)
             np.divide(np.subtract(1.0, f, out=f), lam, out=f)  # visc_cum's weight
-            self.visc_cum[s] = pairing(self.g0, f, buf=buf)[0]
-            self.w_norm_sq[s], self.u_norm_sq[s] = pairing(gs, 1.0, 1.0 / lam, buf=buf)
+            self.visc_cum[s] = pairing(self.g0, f, buf=f)[0]
+            self.w_norm_sq[s], self.u_norm_sq[s] = pairing(gs, 1.0, 1.0 / lam, buf=f)
         return self.__dict__[name]
 
     @property
@@ -170,6 +165,20 @@ class SimTrace:
         t = self.times[s][(..., *(None,) * lam.ndim)]
         return np.multiply(self.g0[n], np.exp(f := np.multiply(-self.nu * t, lam), out=f),
                            out=out)
+
+    def blocks(self, first: int = 0, end: int | None = None):
+        """Per block of the samples first, ..., end - 1 (default all) of _BLOCK
+        values and one state at least: its slice s, the states of s, which may
+        be a view of the stored ones and must not be written, and a float
+        buffer of their shape.  One complex and one float buffer serve all."""
+        end = self.n_samples if end is None else end
+        shape = self.states(0).shape
+        step = max(1, _BLOCK // int(np.prod(shape)))
+        g = np.empty((min(step, end - first), *shape), complex)
+        f = np.empty(g.shape)
+        for i in range(first, end, step):
+            s = slice(i, min(i + step, end))
+            yield s, self.states(s, out=g[: s.stop - i]), f[: s.stop - i]
 
     def _slot(self, s):
         """Where g holds the states of samples s: s itself when g holds every

@@ -10,11 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from diskflow.basis import stokes_basis
 from diskflow.cli import build_parser, main
+from diskflow.diagnostics import CONDITION_KINDS
 from diskflow.solver import SimConfig, _Engine, default_dt, make_initial, simulate
 from oracles import bisect_zero, series_jn
 
@@ -251,6 +252,26 @@ MALFORMED = {
     "sweep-nu-list-true": (["sweep"], {**SWEEP, "nu_list": [True]}, "nu_list must be"),
     "sweep-schedule-c-true": (
         ["sweep"], {**SWEEP, "schedule": {"c": True}}, "'c' has wrong type: bool"),
+    # M(nu) = ceil(nu**-b) past a float: through validate_sweep (K2), through
+    # the cutoffs every row reports (K1), and at the default b
+    "sweep-M-overflows-in-validation": (
+        ["sweep"], {**SWEEP, "kinds": ["K2"], "schedule": {"b": 2000}},
+        "ceil(nu**-b) overflows a float at nu=0.05, b=2000.0"),
+    "sweep-M-overflows-in-a-row": (
+        ["sweep"], {**SWEEP, "schedule": {"b": 2000}},
+        "ceil(nu**-b) overflows a float at nu=0.1, b=2000.0"),
+    "sweep-M-overflows-at-default-b": (
+        ["sweep"], {**SWEEP, "nu_list": [1e-250]}, "overflows a float at nu=1e-250, b=1.5"),
+    "sweep-L-overflows": (
+        ["sweep"], {**SWEEP, "nu_list": [5e-324], "schedule": {"a": 0.99, "b": 1.01}},
+        "ceil(nu**-a) overflows a float at nu=5e-324, a=0.99"),
+    # an empty or repeated entry would write no rows, or its rows twice
+    "sweep-no-kinds": (["sweep"], {**SWEEP, "kinds": []}, "no condition kind given"),
+    "sweep-repeated-kind": (
+        ["sweep"], {**SWEEP, "kinds": ["K1", "K1", "gap"]}, "condition kind 'K1' is repeated"),
+    "verify-repeated-lemma": (
+        ["verify", "--lemmas", "JRatios,JRatios", "--n-max", "3", "--k-max", "3"], None,
+        "lemma id 'JRatios' is repeated"),
 }
 
 
@@ -452,6 +473,46 @@ def test_simulate_at_any_representable_config_exits_cleanly(nu, t_end, amplitude
         if code == 0:
             rows = read_csv(Path(tmp) / "o" / "trace.csv")
             assert all(np.isfinite(float(v)) for r in rows for v in r.values())
+
+
+# the exponents a and gamma over their valid range, (0, 1): a draw outside
+# it is refused before any point runs (the MALFORMED cases); viscosities and
+# the layer constant c, which must be below 1 for a point to run, drawn as
+# often there as anywhere
+_unit = st.floats(5e-324, 1.0, exclude_max=True)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(nu_list=st.lists(st.one_of(_unit, _wide), min_size=1, max_size=3, unique=True),
+       t_end=_wide, a=_unit, b=st.floats(1.0, 1e308, exclude_min=True),
+       gamma=_unit, c=st.one_of(_unit, _wide), n=st.tuples(st.integers(0, 4), st.integers(1, 4)),
+       steps=st.one_of(st.none(), st.integers(1, 1000)))
+@example(nu_list=[1e-250], t_end=0.1, a=0.5, b=1.5, gamma=0.5, c=1.0, n=(4, 4), steps=None)
+def test_sweep_at_any_representable_config_exits_cleanly(nu_list, t_end, a, b, gamma, c, n,
+                                                         steps):
+    # linear points, in closed form, at dt = t_end / steps or the automatic
+    # dt; a draw with a point that would run more than 1e3 automatic steps is
+    # skipped, one whose steps simulate refuses is kept
+    nu_list = sorted(nu_list, reverse=True)
+    sim = {"t_end": t_end, "n_theta": n[0], "n_r": n[1], "init": "generic", "linear": True,
+           "dt": None if steps is None else t_end / steps}
+    for nu in nu_list if sim["dt"] is None or sim["dt"] > 0.0 else ():
+        count = _steps(SimConfig(nu=nu, **{k: v for k, v in sim.items() if k != "init"}))
+        assume(not count <= 1e15 or count <= 1e3)
+    cfg = {"nu_list": nu_list, "kinds": [*CONDITION_KINDS, "gap"],
+           "schedule": {"a": a, "b": b, "gamma": gamma, "c": c}, "sim": sim}
+    with tempfile.TemporaryDirectory() as tmp:
+        (cfgfile := Path(tmp) / "sweep.json").write_text(json.dumps(cfg))
+        code = main(["sweep", "--config", str(cfgfile), "--out", str(Path(tmp) / "o")])
+        assert code in (0, 2)
+        if (out := Path(tmp) / "o" / "diagnostics.csv").exists():
+            rows = read_csv(out)
+            assert len(rows) == len(nu_list) * len(cfg["kinds"])
+            for r in rows:
+                assert r["kind"] in cfg["kinds"]
+                for key in ("nu", "value", "L", "M", "delta", "c"):
+                    float(r[key])
 
 
 def test_zero_convergence_failure_exits_3(tmp_path, capsys, monkeypatch):

@@ -176,6 +176,15 @@ def test_vv_gap_time_mismatch(bas):
         vv_gap(a, b, bas)
 
 
+def test_vv_gap_refuses_a_reference_trace_of_another_shape(bas):
+    # states of 1 x 1 and 2 x 1 modes would broadcast against each other
+    times = np.linspace(0, 1, 11)
+    a = linear_trace(make_initial("radial-1", 0, 1), bas, 0.05, times)
+    b = linear_trace(make_initial("radial-1", 1, 1), bas, 0.05, times)
+    with pytest.raises(ValueError, match="state shape"):
+        vv_gap(a, b, bas)
+
+
 def test_vv_gap_rejects_other_references(bas):
     init = make_initial("radial-1", 0, 4)
     tr = linear_trace(init, bas, 0.05, np.linspace(0, 1, 11))

@@ -415,13 +415,20 @@ def test_radial_rule_cache_is_bounded(bas):
     assert info.maxsize == 256 and info.currsize <= 256
 
 
-@pytest.mark.parametrize("n, nodes", [(8, 48), (16, 73), (24, 100), (32, 132)])
-def test_engine_rule_has_the_fewest_passing_nodes(n, nodes):
+@pytest.mark.parametrize("n, nodes", [(8, 48), (16, 73), (24, 100), (32, 132), (64, 244)])
+def test_engine_rule_has_the_fewest_passing_nodes(n, nodes, monkeypatch):
+    import diskflow.field
     from diskflow.field import _resolves
     from diskflow.solver import SimConfig, _Engine
 
+    calls = []
+    monkeypatch.setattr(diskflow.field, "_resolves",
+                        lambda *a: calls.append(a) or _resolves(*a))
+    radial_rule.cache_clear()
     eng = _Engine(SimConfig(nu=1.0, t_end=1.0, n_theta=n, n_r=n), stokes_basis(n, n))
     assert eng.r.size == nodes
+    # the walk from the predicted count, 2 nodes over at n = 24 and 64
+    assert len(calls) <= {8: 1, 16: 2, 24: 4, 32: 2, 64: 4}[n], calls
     # one node fewer is below the floor of 48 or fails the check
     assert nodes - 1 < 48 or not _resolves(nodes - 1, eng.wavenumber, 0.0)
 

@@ -12,8 +12,7 @@ import pytest
 from diskflow.basis import stokes_basis
 from diskflow.bessel import _BLOCK
 from diskflow.diagnostics import TruncationSpec, truncate_trace, vv_gap
-from diskflow.field import (SpectralCoeffs, _reality_weights, block_buffer, live_rows,
-                            norm_sq_series)
+from diskflow.field import SpectralCoeffs, _reality_weights, live_rows, norm_sq_series
 from diskflow.solver import (SimConfig, SimTrace, _Engine, _step_count, linear_trace,
                              make_initial, simulate)
 
@@ -98,15 +97,16 @@ def test_trace_passes_allocate_one_trace_plus_one_block(bas, point):
 
 @pytest.fixture(scope="module", params=["1", "B-1", "B", "B+1", "988"])
 def sizes(request):
-    b = block_buffer(988, (N + 1, N))[0]
+    b = _BLOCK // ((N + 1) * N)  # states per block of SimTrace.blocks
     return {"1": 1, "B-1": b - 1, "B": b, "B+1": b + 1, "988": 988}[request.param]
 
 
 def test_blocked_kernels_match_the_unblocked_formulas(bas, sizes):
-    assert block_buffer(988, (N + 1, N))[0] == 27
     init = make_initial("generic", N, N, seed=0)
     times = 0.5 * np.linspace(0.0, 1.0, sizes) ** 2
     tr = linear_trace(init, bas, NU, times)
+    whole, rest = divmod(sizes, 27)  # 27 states per block, the last block the rest
+    assert [s.stop - s.start for s, _, _ in tr.blocks()] == [27] * whole + [rest] * (rest > 0)
     g, u2, w2, visc = _unblocked_trace(init, bas, NU, times)
     for name, want in (("g", g), ("u_norm_sq", u2), ("w_norm_sq", w2), ("visc_cum", visc)):
         assert np.array_equal(getattr(tr, name), want), name
